@@ -75,6 +75,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release
 
+# The benchmark is a package of its own (empty [workspace]), so the
+# workspace build above never compiles it; build and test it here so a
+# change to an API it uses fails CI.
+echo "==> cargo test (benchmark package, release)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then
     # One bench run serves every enabled gate.

@@ -47,6 +47,7 @@
 use speck_bench::cli::parse_flags;
 use speck_bench::corpus::{common_corpus, smoke_corpus};
 use speck_core::metrics::{compare_snapshots, MetricsRegistry, MetricsSnapshot};
+use speck_core::plan::fnv1a_bytes;
 use speck_core::{tuning, SpeckConfig, SpeckSpgemm};
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::gen::common_matrices;
@@ -54,21 +55,6 @@ use speck_sparse::Csr;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// FNV-1a over a byte stream: order-sensitive, bit-exact.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn push_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
 
 /// Peak resident set size in bytes, from `/proc/self/status` (VmHWM).
 fn peak_rss_bytes() -> u64 {
@@ -163,7 +149,9 @@ fn main() {
     let engine = SpeckSpgemm::default()
         .with_plan_cache_capacity(0)
         .with_metrics(Arc::clone(&registry));
-    let mut digest = Digest::new();
+    // Every simulated time and peak memory, in call order, as
+    // little-endian bytes; the digest is their FNV-1a hash.
+    let mut digest_bytes = Vec::new();
     let mut total_nnz_c = 0u64;
 
     // Warm-up round: populate the engine's reusable workspaces and page in
@@ -180,8 +168,8 @@ fn main() {
         for (_, a, b) in &pairs {
             let (_, report) = engine.multiply(a, b);
             assert!(!report.reused_plan, "digest round must stay cold");
-            digest.push_u64(report.sim_time_s.to_bits());
-            digest.push_u64(report.peak_mem_bytes as u64);
+            digest_bytes.extend(report.sim_time_s.to_bits().to_le_bytes());
+            digest_bytes.extend((report.peak_mem_bytes as u64).to_le_bytes());
             if round == 0 {
                 cold_sim += report.sim_time_s;
             }
@@ -190,6 +178,7 @@ fn main() {
     }
     let mult_s = t_mult.elapsed().as_secs_f64();
     let matrices_per_sec = multiplies as f64 / mult_s;
+    let digest = fnv1a_bytes(&digest_bytes);
 
     // Reuse round: a caching engine is primed over the corpus, then runs
     // it again with fresh values (same patterns). The reported speedup is
@@ -259,7 +248,7 @@ fn main() {
     let _ = writeln!(json, "    \"reuse\": {reuse_s:.3},");
     let _ = writeln!(json, "    \"batch\": {batch_s:.3}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"sim_digest\": \"{:016x}\"", digest.0);
+    let _ = writeln!(json, "  \"sim_digest\": \"{:016x}\"", digest);
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_throughput.json");
@@ -268,7 +257,7 @@ fn main() {
         "throughput: {matrices_per_sec:.2} matrices/s over {multiplies} multiplies \
          ({mult_s:.2}s); reuse speedup {reuse_speedup:.2}x (simulated); \
          batch {batch_matrices_per_sec:.2} matrices/s; sim digest {:016x}; wrote {out_path}",
-        digest.0
+        digest
     );
 
     // Metrics snapshot: taken from the caching engine so the plan-cache
@@ -339,11 +328,11 @@ fn main() {
     }
 
     if let Some(expect) = expect_digest {
-        if digest.0 != expect {
+        if digest != expect {
             eprintln!(
                 "FAIL: cold-path sim digest {:016x} != expected {expect:016x} — \
                  a host-side change moved simulated results",
-                digest.0
+                digest
             );
             failed = true;
         } else {

@@ -36,10 +36,11 @@ use crate::global_lb::{
     numeric_entries, plan_numeric, plan_symbolic, symbolic_entries, AccMethod, GateProvenance,
     PassPlan,
 };
+use crate::json::{parse_json_value, push_num, push_string, JsonValue};
 use crate::local_lb::{alternative_group_sizes, estimated_rounds};
 use crate::pipeline::stage;
 use crate::symbolic::group_blocks;
-use crate::trace::{parse_json_value, ExecutionTrace, JsonValue};
+use crate::trace::ExecutionTrace;
 use speck_simt::{CostModel, DeviceConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -207,9 +208,9 @@ impl DecisionReport {
     pub fn canonical_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"format\": ");
-        push_json_string(&mut out, AUDIT_FORMAT);
+        push_string(&mut out, AUDIT_FORMAT);
         out.push_str(",\n\"device\": ");
-        push_json_string(&mut out, &self.device_name);
+        push_string(&mut out, &self.device_name);
         let t = self.totals();
         let _ = write!(
             out,
@@ -223,11 +224,11 @@ impl DecisionReport {
         for (i, r) in self.records.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("{\"stage\": ");
-            push_json_string(&mut out, &r.stage);
+            push_string(&mut out, &r.stage);
             out.push_str(", \"kind\": ");
-            push_json_string(&mut out, r.kind);
+            push_string(&mut out, r.kind);
             out.push_str(", \"subject\": ");
-            push_json_string(&mut out, &r.subject);
+            push_string(&mut out, &r.subject);
             out.push_str(", \"bin\": ");
             match r.bin {
                 Some(b) => {
@@ -237,11 +238,11 @@ impl DecisionReport {
             }
             out.push_str(", \"acc\": ");
             match r.acc {
-                Some(a) => push_json_string(&mut out, acc_name(a)),
+                Some(a) => push_string(&mut out, a.name()),
                 None => out.push_str("null"),
             }
             out.push_str(", \"chosen\": ");
-            push_json_string(&mut out, &r.chosen);
+            push_string(&mut out, &r.chosen);
             out.push_str(", \"chosen_est_cycles\": ");
             push_num(&mut out, r.chosen_est_cycles);
             out.push_str(", \"measured_cycles\": ");
@@ -249,13 +250,13 @@ impl DecisionReport {
             out.push_str(", \"regret_cycles\": ");
             push_num(&mut out, r.regret_cycles);
             out.push_str(", \"verdict\": ");
-            push_json_string(&mut out, r.verdict.name());
+            push_string(&mut out, r.verdict.name());
             out.push_str(", \"features\": {");
             for (j, (k, v)) in r.features.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                push_json_string(&mut out, k);
+                push_string(&mut out, k);
                 out.push_str(": ");
                 push_num(&mut out, *v);
             }
@@ -265,7 +266,7 @@ impl DecisionReport {
                     out.push_str(", ");
                 }
                 out.push_str("{\"label\": ");
-                push_json_string(&mut out, &a.label);
+                push_string(&mut out, &a.label);
                 out.push_str(", \"est_cycles\": ");
                 push_num(&mut out, a.est_cycles);
                 out.push('}');
@@ -348,7 +349,7 @@ impl DecisionReport {
                 acc: rec
                     .get("acc")
                     .and_then(JsonValue::as_str)
-                    .and_then(acc_from_name),
+                    .and_then(AccMethod::from_name),
                 features,
                 chosen: str_field("chosen")?,
                 chosen_est_cycles: num_field("chosen_est_cycles")?,
@@ -401,10 +402,7 @@ impl DecisionReport {
             "decision", "acc", "bin", "decisions", "mispred", "ties", "regret cycles"
         );
         for ((cell, acc, bin), st) in &cells {
-            let acc = match acc {
-                Some(a) => acc_name(*a),
-                None => "-",
-            };
+            let acc = acc.map_or("-", AccMethod::name);
             let bin = bin.map_or("-".to_string(), |b| b.to_string());
             let _ = writeln!(
                 out,
@@ -450,10 +448,7 @@ impl AuditDiff {
             "decision", "acc", "bin", "decisions", "mispred", "regret delta"
         );
         for ((cell, acc, bin), (old, new)) in &self.cells {
-            let acc = match acc {
-                Some(a) => acc_name(*a),
-                None => "-",
-            };
+            let acc = acc.map_or("-", AccMethod::name);
             let bin = bin.map_or("-".to_string(), |b| b.to_string());
             let _ = writeln!(
                 out,
@@ -879,7 +874,7 @@ fn block_records(
                     ("nnz_a".to_string(), nnz_a as f64),
                     ("products".to_string(), products as f64),
                 ],
-                chosen: acc_name(acc).to_string(),
+                chosen: acc.name().to_string(),
                 chosen_est_cycles: measured,
                 measured_cycles: measured,
                 alternatives,
@@ -982,55 +977,6 @@ fn block_records(
                 });
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers (module-local copies, matching trace.rs)
-// ---------------------------------------------------------------------------
-
-fn acc_name(a: AccMethod) -> &'static str {
-    match a {
-        AccMethod::Hash => "hash",
-        AccMethod::Dense => "dense",
-        AccMethod::Direct => "direct",
-    }
-}
-
-fn acc_from_name(s: &str) -> Option<AccMethod> {
-    match s {
-        "hash" => Some(AccMethod::Hash),
-        "dense" => Some(AccMethod::Dense),
-        "direct" => Some(AccMethod::Direct),
-        _ => None,
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes an f64 as a JSON number (shortest-roundtrip `Display` —
-/// deterministic, and re-parsing recovers the exact value).
-fn push_num(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
     }
 }
 

@@ -23,6 +23,25 @@ pub enum AccMethod {
     Direct,
 }
 
+impl AccMethod {
+    /// Name used in traces, audits and profiles: `hash`, `dense` or
+    /// `direct`.
+    pub fn name(self) -> &'static str {
+        match self {
+            AccMethod::Hash => "hash",
+            AccMethod::Dense => "dense",
+            AccMethod::Direct => "direct",
+        }
+    }
+
+    /// Inverse of [`AccMethod::name`].
+    pub fn from_name(s: &str) -> Option<AccMethod> {
+        [AccMethod::Hash, AccMethod::Dense, AccMethod::Direct]
+            .into_iter()
+            .find(|a| a.name() == s)
+    }
+}
+
 /// One thread block of a SpGEMM pass.
 #[derive(Clone, Debug)]
 pub struct BlockPlan {

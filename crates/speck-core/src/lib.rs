@@ -65,6 +65,7 @@ pub mod config;
 pub mod denseacc;
 pub mod global_lb;
 pub mod hashacc;
+pub mod json;
 pub mod local_lb;
 pub mod metrics;
 pub mod numeric;
@@ -73,6 +74,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod profile;
 pub mod sort;
+pub mod stage_log;
 pub mod symbolic;
 pub mod trace;
 pub mod tuning;
@@ -84,6 +86,7 @@ pub use audit::{
 };
 pub use cascade::KernelCascade;
 pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
+pub use json::{parse_json_value, JsonValue};
 pub use metrics::{
     compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, Span,
 };
@@ -94,8 +97,8 @@ pub use pipeline::{
 };
 pub use plan::{pattern_fingerprint, PatternKey, PlanCache, SpgemmPlan};
 pub use profile::{diff_traces, profile_trace, ProfileReport, TraceDiff};
+pub use stage_log::{LaunchAnnotation, StageLog};
 pub use trace::{
-    parse_json_value, BlockAnnotation, ExecutionTrace, JsonValue, KernelTraceRecord, TraceBuilder,
-    TraceRecord, TraceRecordKind, TRACE_FORMAT,
+    BlockAnnotation, ExecutionTrace, KernelTraceRecord, TraceRecord, TraceRecordKind, TRACE_FORMAT,
 };
 pub use workspace::{SharedWorkspaces, Workspace, WorkspacePool};

@@ -55,6 +55,8 @@
 //! | `wall/*`       | wall-clock gauges — tolerance-gated in CI          |
 //! | `pool/*`       | occupancy gauges — informational, never gated      |
 
+use crate::json::{parse_json_value, push_string, JsonValue};
+use crate::plan::fnv1a_bytes;
 use speck_simt::KernelReport;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -260,13 +262,8 @@ enum Metric {
 const SHARD_COUNT: usize = 16;
 
 fn shard_of(name: &str) -> usize {
-    // FNV-1a over the name; shards only need a rough spread.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h as usize) % SHARD_COUNT
+    // Shards only need a rough spread.
+    (fnv1a_bytes(name.as_bytes()) as usize) % SHARD_COUNT
 }
 
 /// Sharded registry of named metrics.
@@ -540,30 +537,12 @@ pub struct MetricsSnapshot {
     pub wall_tolerance: Option<f64>,
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl MetricsSnapshot {
     fn write_counters(&self, out: &mut String) {
         out.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_string(out, name);
+            push_string(out, name);
             let _ = write!(out, ": {v}");
         }
         out.push_str("\n  }");
@@ -573,7 +552,7 @@ impl MetricsSnapshot {
         out.push_str("  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_string(out, name);
+            push_string(out, name);
             let _ = write!(
                 out,
                 ": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
@@ -621,7 +600,7 @@ impl MetricsSnapshot {
         out.push_str(",\n  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_string(&mut out, name);
+            push_string(&mut out, name);
             let _ = write!(out, ": {v}");
         }
         out.push_str("\n  }\n}\n");
@@ -670,266 +649,54 @@ impl MetricsSnapshot {
     /// [`Self::canonical_json`]. Unknown top-level keys are skipped, so
     /// baselines survive additive format evolution.
     pub fn parse_json(text: &str) -> Result<MetricsSnapshot, String> {
-        Parser {
-            b: text.as_bytes(),
-            pos: 0,
+        let root = parse_json_value(text)?;
+        match root.get("format").and_then(JsonValue::as_str) {
+            Some(SNAPSHOT_FORMAT) => {}
+            Some(other) => return Err(format!("unknown metrics format '{other}'")),
+            None => return Err("missing \"format\" field".into()),
         }
-        .parse_snapshot()
-    }
-}
-
-/// Minimal recursive-descent parser for the snapshot's JSON subset.
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("metrics json: {what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.peek() == Some(ch) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", ch as char))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.pos) else {
-                        return self.err("dangling escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                c => s.push(c as char),
-            }
-        }
-    }
-
-    /// Returns the raw text of a number token.
-    fn parse_number_text(&mut self) -> Result<&str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.err("expected a number");
-        }
-        std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let pos = self.pos;
-        let t = self.parse_number_text()?;
-        t.parse::<u64>()
-            .map_err(|e| format!("metrics json: bad integer '{t}' at byte {pos}: {e}"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, String> {
-        let pos = self.pos;
-        let t = self.parse_number_text()?;
-        t.parse::<f64>()
-            .map_err(|e| format!("metrics json: bad number '{t}' at byte {pos}: {e}"))
-    }
-
-    /// Skips one JSON value of any shape (for unknown keys).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => {
-                self.parse_string()?;
-            }
-            Some(b'{') => {
-                self.expect(b'{')?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.parse_string()?;
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(c) if c == b't' || c == b'f' || c == b'n' => {
-                while self.b.get(self.pos).is_some_and(u8::is_ascii_alphabetic) {
-                    self.pos += 1;
-                }
-            }
-            _ => {
-                self.parse_number_text()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses `{ "k": ... , ... }` invoking `on_key` per key.
-    fn parse_object(
-        &mut self,
-        mut on_key: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            on_key(self, &key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn parse_histogram(&mut self) -> Result<HistogramSnapshot, String> {
-        let mut h = HistogramSnapshot::default();
-        self.parse_object(|p, key| {
-            match key {
-                "count" => h.count = p.parse_u64()?,
-                "sum" => h.sum = p.parse_u64()?,
-                "buckets" => {
-                    p.expect(b'[')?;
-                    if p.peek() == Some(b']') {
-                        p.pos += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        p.expect(b'[')?;
-                        let b = p.parse_u64()? as u32;
-                        p.expect(b',')?;
-                        let n = p.parse_u64()?;
-                        p.expect(b']')?;
-                        h.buckets.push((b, n));
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b']') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            _ => return p.err("expected ',' or ']'"),
-                        }
-                    }
-                }
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(h)
-    }
-
-    fn parse_snapshot(&mut self) -> Result<MetricsSnapshot, String> {
+        let section = |key: &str| {
+            root.get(key)
+                .and_then(JsonValue::as_obj)
+                .unwrap_or_default()
+        };
+        let u64_of = |v: &JsonValue, what: &str| {
+            v.as_u64()
+                .ok_or_else(|| format!("metrics json: {what} is not a u64"))
+        };
         let mut snap = MetricsSnapshot::default();
-        let mut format = None;
-        self.parse_object(|p, key| {
-            match key {
-                "format" => format = Some(p.parse_string()?),
-                "wall_tolerance" => snap.wall_tolerance = Some(p.parse_f64()?),
-                "counters" => p.parse_object(|p, name| {
-                    let v = p.parse_u64()?;
-                    snap.counters.insert(name.to_string(), v);
-                    Ok(())
-                })?,
-                "gauges" => p.parse_object(|p, name| {
-                    let v = p.parse_f64()?;
-                    snap.gauges.insert(name.to_string(), v);
-                    Ok(())
-                })?,
-                "histograms" => p.parse_object(|p, name| {
-                    let h = p.parse_histogram()?;
-                    snap.histograms.insert(name.to_string(), h);
-                    Ok(())
-                })?,
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        match format.as_deref() {
-            Some(SNAPSHOT_FORMAT) => Ok(snap),
-            Some(other) => Err(format!("unknown metrics format '{other}'")),
-            None => Err("missing \"format\" field".into()),
+        if let Some(t) = root.get("wall_tolerance") {
+            snap.wall_tolerance = Some(t.as_f64().ok_or("metrics json: bad wall_tolerance")?);
         }
+        for (name, v) in section("counters") {
+            snap.counters.insert(name.clone(), u64_of(v, name)?);
+        }
+        for (name, v) in section("gauges") {
+            let g = v
+                .as_f64()
+                .ok_or(format!("metrics json: gauge {name} is not a number"))?;
+            snap.gauges.insert(name.clone(), g);
+        }
+        for (name, v) in section("histograms") {
+            let field = |key: &str| v.get(key).map_or(Ok(0), |x| u64_of(x, name));
+            let mut h = HistogramSnapshot {
+                count: field("count")?,
+                sum: field("sum")?,
+                buckets: Vec::new(),
+            };
+            for pair in v
+                .get("buckets")
+                .and_then(JsonValue::as_arr)
+                .unwrap_or_default()
+            {
+                match pair.as_arr() {
+                    Some([b, n]) => h.buckets.push((u64_of(b, name)? as u32, u64_of(n, name)?)),
+                    _ => return Err(format!("metrics json: bad bucket in {name}")),
+                }
+            }
+            snap.histograms.insert(name.clone(), h);
+        }
+        Ok(snap)
     }
 }
 
@@ -1105,6 +872,18 @@ mod tests {
         assert_eq!(canon.counters, snap.counters);
         assert_eq!(canon.histograms, snap.histograms);
         assert!(canon.gauges.is_empty());
+    }
+
+    #[test]
+    fn roundtrip_keeps_non_ascii_names_and_counters_above_2_pow_53() {
+        let reg = MetricsRegistry::new();
+        reg.counter("sim/kernel/é/launches").add(3);
+        reg.counter("sim/total").add((1 << 60) + 1);
+        reg.histogram("sim/kernel/名前/grid").record(u64::MAX);
+        let snap = reg.snapshot();
+        let back = MetricsSnapshot::parse_json(&snap.canonical_json()).unwrap();
+        assert_eq!(back.counters, snap.counters);
+        assert_eq!(back.histograms, snap.histograms);
     }
 
     #[test]

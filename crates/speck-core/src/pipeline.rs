@@ -22,8 +22,9 @@ use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
 use crate::metrics::{MetricsRegistry, MetricsSink, MetricsSnapshot};
 use crate::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
 use crate::plan::{fnv1a_bytes, PatternKey, PlanCache, SpgemmPlan};
+use crate::stage_log::StageLog;
 use crate::symbolic::{group_blocks, run_symbolic};
-use crate::trace::{pass_annotations, ExecutionTrace, TraceBuilder};
+use crate::trace::{pass_annotations, ExecutionTrace};
 use crate::workspace::{SharedWorkspaces, WorkspacePool};
 use rayon::prelude::*;
 use speck_simt::{CostModel, DeviceConfig, MemTracker, Timeline};
@@ -276,6 +277,16 @@ impl SpeckSpgemm {
         fnv1a_bytes(env.as_bytes())
     }
 
+    /// What this engine's calls record: metrics into its registry, and
+    /// launch annotations when tracing or auditing.
+    fn observe(&self) -> Observe<'_> {
+        Observe {
+            metrics: MetricsSink::new(&self.metrics),
+            trace: self.tracing,
+            audit: self.auditing,
+        }
+    }
+
     /// Computes `C = A · B`; returns the result and the full report.
     ///
     /// When the `(A, B)` sparsity pattern (and scalar type, device, cost
@@ -283,77 +294,25 @@ impl SpeckSpgemm {
     /// are skipped and the report's `reused_plan` is true; otherwise the
     /// full pipeline runs and the new plan is cached.
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
-        let m = MetricsSink::new(&self.metrics);
-        m.add("engine/multiply_calls", 1);
-        let observe = self.tracing || self.auditing;
-        let _capture = observe.then(speck_simt::CaptureGuard::new);
+        let obs = self.observe();
+        obs.metrics.add("engine/multiply_calls", 1);
+        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
+        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
+        let execute = |plan: &SpgemmPlan<V>, reused: bool| {
+            execute_inner(dev, cost, cfg, plan, a, b, &pool, reused, obs)
+        };
         if self.plans.lock().unwrap().capacity() == 0 {
-            let plan = plan_inner(
-                &self.device,
-                &self.cost,
-                &self.config,
-                a,
-                b,
-                &pool,
-                observe,
-                m,
-            );
-            return execute_inner(
-                &self.device,
-                &self.cost,
-                &self.config,
-                &plan,
-                a,
-                b,
-                &pool,
-                false,
-                self.tracing,
-                self.auditing,
-                m,
-            );
+            return execute(&plan_inner(dev, cost, cfg, a, b, &pool, obs), false);
         }
         let key = PatternKey::new(a, b, self.env_digest());
         if let Some(hit) = self.plans.lock().unwrap().get(&key) {
             if let Ok(plan) = hit.downcast::<SpgemmPlan<V>>() {
-                return execute_inner(
-                    &self.device,
-                    &self.cost,
-                    &self.config,
-                    &plan,
-                    a,
-                    b,
-                    &pool,
-                    true,
-                    self.tracing,
-                    self.auditing,
-                    m,
-                );
+                return execute(&plan, true);
             }
         }
-        let plan = Arc::new(plan_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            a,
-            b,
-            &pool,
-            observe,
-            m,
-        ));
-        let out = execute_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            &plan,
-            a,
-            b,
-            &pool,
-            false,
-            self.tracing,
-            self.auditing,
-            m,
-        );
+        let plan = Arc::new(plan_inner(dev, cost, cfg, a, b, &pool, obs));
+        let out = execute(&plan, false);
         self.plans.lock().unwrap().insert(key, plan);
         out
     }
@@ -363,19 +322,10 @@ impl SpeckSpgemm {
     /// plan. Pair with [`SpeckSpgemm::execute_plan`] to amortise the setup
     /// across many multiplications of the same pattern.
     pub fn plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> SpgemmPlan<V> {
-        let observe = self.tracing || self.auditing;
-        let _capture = observe.then(speck_simt::CaptureGuard::new);
+        let obs = self.observe();
+        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
-        plan_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            a,
-            b,
-            &pool,
-            observe,
-            MetricsSink::new(&self.metrics),
-        )
+        plan_inner(&self.device, &self.cost, &self.config, a, b, &pool, obs)
     }
 
     /// Executes a plan against operands with the *same sparsity pattern*
@@ -390,7 +340,8 @@ impl SpeckSpgemm {
         a: &Csr<V>,
         b: &Csr<V>,
     ) -> (Csr<V>, MultiplyReport) {
-        let _capture = (self.tracing || self.auditing).then(speck_simt::CaptureGuard::new);
+        let obs = self.observe();
+        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
         execute_inner(
             &self.device,
@@ -401,9 +352,7 @@ impl SpeckSpgemm {
             b,
             &pool,
             true,
-            self.tracing,
-            self.auditing,
-            MetricsSink::new(&self.metrics),
+            obs,
         )
     }
 
@@ -420,6 +369,26 @@ impl SpeckSpgemm {
             .par_iter()
             .map(|&(a, b)| self.multiply(a, b))
             .collect()
+    }
+}
+
+/// What a pipeline call records besides its simulated results. The free
+/// functions observe nothing (the default); engine calls record metrics
+/// and, when tracing or auditing, annotate their launches. Observation
+/// only reads finished kernel reports, so simulated results are
+/// bit-identical either way.
+#[derive(Clone, Copy, Debug, Default)]
+struct Observe<'a> {
+    metrics: MetricsSink<'a>,
+    trace: bool,
+    audit: bool,
+}
+
+impl Observe<'_> {
+    /// Whether launches carry per-block schedules and spECK annotations
+    /// (the trace and the audit both read them).
+    fn annotates(&self) -> bool {
+        self.trace || self.audit
     }
 }
 
@@ -449,26 +418,14 @@ pub fn multiply_with_pool<V: Scalar>(
     pool: &WorkspacePool<V>,
 ) -> (Csr<V>, MultiplyReport) {
     let plan = plan_with_pool(dev, cost, cfg, a, b, pool);
-    execute_inner(
-        dev,
-        cost,
-        cfg,
-        &plan,
-        a,
-        b,
-        pool,
-        false,
-        false,
-        false,
-        MetricsSink::none(),
-    )
+    execute_inner(dev, cost, cfg, &plan, a, b, pool, false, Observe::default())
 }
 
 /// Runs the setup stages (analysis + symbolic load balancing + symbolic
 /// pass + numeric load balancing) and returns the self-contained
-/// [`SpgemmPlan`]. The plan captures the setup stages' simulated timeline
-/// and device-memory footprint, so executing it cold reproduces
-/// [`multiply`] bit for bit.
+/// [`SpgemmPlan`]. The plan keeps the setup stages' stage log and
+/// device-memory footprint, so executing it cold reproduces [`multiply`]
+/// bit for bit.
 pub fn plan_with_pool<V: Scalar>(
     dev: &DeviceConfig,
     cost: &CostModel,
@@ -477,13 +434,12 @@ pub fn plan_with_pool<V: Scalar>(
     b: &Csr<V>,
     pool: &WorkspacePool<V>,
 ) -> SpgemmPlan<V> {
-    plan_inner(dev, cost, cfg, a, b, pool, false, MetricsSink::none())
+    plan_inner(dev, cost, cfg, a, b, pool, Observe::default())
 }
 
-/// [`plan_with_pool`] with a metrics sink attached: every kernel launch,
-/// load-balancing decision, and stage span is recorded. Recording reads
-/// finished [`speck_simt::KernelReport`]s only, so simulated results are
-/// bit-identical with or without a registry.
+/// The setup half of the pipeline. Every event is appended once to the
+/// plan's stage log; the log's launches are recorded into the metrics
+/// sink at the end, and the timeline and trace are folded from it later.
 #[allow(clippy::too_many_arguments)]
 fn plan_inner<V: Scalar>(
     dev: &DeviceConfig,
@@ -492,85 +448,58 @@ fn plan_inner<V: Scalar>(
     a: &Csr<V>,
     b: &Csr<V>,
     pool: &WorkspacePool<V>,
-    observe: bool,
-    m: MetricsSink<'_>,
+    obs: Observe<'_>,
 ) -> SpgemmPlan<V> {
     assert_eq!(a.cols(), b.rows(), "spECK multiply: dimension mismatch");
+    let m = obs.metrics;
     let span = m.span("plan");
     let cascade = KernelCascade::for_device(dev);
-    let mut timeline = Timeline::new();
-    // The tracer mirrors every timeline call below, in the same order, so
-    // the finished trace reconciles with the timeline bit-for-bit.
-    // `observe` is tracing OR auditing: the audit layer reads the same
-    // setup trace a cold execute resumes from.
-    let mut tracer = observe.then(|| TraceBuilder::new(dev));
+    let mut log = StageLog::default();
     let mut setup_mem_bytes = 0usize;
-    let alloc_s = |n: usize| dev.cycles_to_seconds(dev.alloc_overhead_cycles) * n as f64;
+    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
 
     // Stage 1: row analysis.
     let (info, analysis_report) = {
         let _s = span.child("analysis");
         analyze(dev, cost, a, b)
     };
-    timeline.add_kernel(stage::ANALYSIS, &analysis_report);
-    m.record_kernel(stage::ANALYSIS, &analysis_report);
-    if let Some(t) = tracer.as_mut() {
-        t.add_kernel(stage::ANALYSIS, &analysis_report, None, None, None);
-    }
+    log.kernels(stage::ANALYSIS, [analysis_report], None);
     setup_mem_bytes += info.rows.len() * std::mem::size_of::<crate::analysis::RowInfo>();
-    timeline.add_fixed(stage::ANALYSIS, alloc_s(1));
-    if let Some(t) = tracer.as_mut() {
-        t.add_fixed(stage::ANALYSIS, "alloc", alloc_s(1));
-    }
+    log.fixed(stage::ANALYSIS, "alloc", alloc_s);
 
     // Stage 2: symbolic load balancing.
-    let splan = {
+    let mut splan = {
         let _s = span.child("symbolic_lb");
         plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols())
     };
-    for r in &splan.lb_reports {
-        timeline.add_kernel(stage::SYMBOLIC_LOAD, r);
-        m.record_kernel(stage::SYMBOLIC_LOAD, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
-        }
-    }
+    log.kernels(
+        stage::SYMBOLIC_LOAD,
+        std::mem::take(&mut splan.lb_reports),
+        None,
+    );
     splan.record_metrics(&m, "symbolic");
     if splan.lb_alloc_bytes > 0 {
         setup_mem_bytes += splan.lb_alloc_bytes;
-        timeline.add_fixed(stage::SYMBOLIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s(1));
-        }
+        log.fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s);
     }
 
-    // Stage 3: symbolic SpGEMM.
+    // Stage 3: symbolic SpGEMM. Observed launches are stamped with their
+    // bin, accumulator, rows, and group size, in launch order.
     let sym = {
         let _s = span.child("symbolic");
         run_symbolic(dev, cost, &cascade, cfg, a, b, &info, &splan, pool)
     };
-    for r in &sym.reports {
-        timeline.add_kernel(stage::SYMBOLIC, r);
-        m.record_kernel(stage::SYMBOLIC, r);
-    }
-    if let Some(t) = tracer.as_mut() {
-        // One report per (method, config) group, in group order — stamp
-        // each with its bin, accumulator, rows, and group size.
-        let anns = pass_annotations(dev, &cascade, cfg, &info, &splan, &group_blocks(&splan));
-        for (r, (acc, cfg_idx, ann)) in sym.reports.iter().zip(anns) {
-            t.add_kernel(stage::SYMBOLIC, r, Some(cfg_idx), Some(acc), Some(ann));
-        }
-    }
     sym.record_metrics(&m);
+    let anns = obs
+        .annotates()
+        .then(|| pass_annotations(dev, &cascade, cfg, &info, &splan, &group_blocks(&splan)));
+    log.kernels(stage::SYMBOLIC, sym.reports, anns);
     // Row-count array + prefix sum for C's offsets.
     setup_mem_bytes += (a.rows() + 1) * 8;
-    timeline.add_fixed(stage::SYMBOLIC, alloc_s(1));
-    if let Some(t) = tracer.as_mut() {
-        t.add_fixed(stage::SYMBOLIC, "alloc", alloc_s(1));
-    }
+    log.fixed(stage::SYMBOLIC, "alloc", alloc_s);
 
     // Stage 4: numeric load balancing on exact sizes.
-    let nplan = {
+    let mut nplan = {
         let _s = span.child("numeric_lb");
         plan_numeric(
             dev,
@@ -583,20 +512,15 @@ fn plan_inner<V: Scalar>(
             std::mem::size_of::<V>(),
         )
     };
-    for r in &nplan.lb_reports {
-        timeline.add_kernel(stage::NUMERIC_LOAD, r);
-        m.record_kernel(stage::NUMERIC_LOAD, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::NUMERIC_LOAD, r, None, None, None);
-        }
-    }
+    log.kernels(
+        stage::NUMERIC_LOAD,
+        std::mem::take(&mut nplan.lb_reports),
+        None,
+    );
     nplan.record_metrics(&m, "numeric");
     if nplan.lb_alloc_bytes > 0 {
         setup_mem_bytes += nplan.lb_alloc_bytes;
-        timeline.add_fixed(stage::NUMERIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::NUMERIC_LOAD, "alloc", alloc_s(1));
-        }
+        log.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
     }
 
     // Global hash-map fallback pool: as many maps as can be live at once
@@ -609,11 +533,9 @@ fn plan_inner<V: Scalar>(
             .min(dev.max_concurrent_blocks(largest_cfg.threads, largest_cfg.scratch_bytes));
         let per_map = info.max_products as usize * (8 + std::mem::size_of::<V>());
         setup_mem_bytes += live * per_map;
-        timeline.add_fixed(stage::NUMERIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s(1));
-        }
+        log.fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s);
     }
+    log.record_metrics(&m);
 
     let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
     let ngroups = group_blocks(&nplan);
@@ -631,10 +553,9 @@ fn plan_inner<V: Scalar>(
         ngroups,
         row_nnz: sym.row_nnz,
         row_ptr,
-        setup_timeline: timeline,
+        setup_log: log,
         setup_mem_bytes,
         sym_spilled_blocks: sym.spilled_blocks,
-        setup_trace: tracer.map(TraceBuilder::finish),
         _values: PhantomData,
     }
 }
@@ -652,28 +573,17 @@ pub fn execute_plan_with_pool<V: Scalar>(
     b: &Csr<V>,
     pool: &WorkspacePool<V>,
 ) -> (Csr<V>, MultiplyReport) {
-    execute_inner(
-        dev,
-        cost,
-        cfg,
-        plan,
-        a,
-        b,
-        pool,
-        true,
-        false,
-        false,
-        MetricsSink::none(),
-    )
+    execute_inner(dev, cost, cfg, plan, a, b, pool, true, Observe::default())
 }
 
-/// The execution half of the pipeline. Cold calls (`reused == false`)
-/// start from the plan's setup timeline so the combined report is bit
-/// identical to the unfactored pipeline; reused calls start from an empty
-/// timeline. Device memory is accounted identically either way — the
-/// setup structures the numeric kernels read (analysis records, row
-/// counts, the overflow pool) are resident whether this call built them
-/// or a previous one did.
+/// The execution half of the pipeline. Its events go to a stage log of
+/// their own; cold calls (`reused == false`) fold the plan's setup log
+/// ahead of it, so the combined timeline and trace are bit identical to
+/// the unfactored pipeline, while reused calls fold only their own.
+/// Device memory is accounted identically either way — the setup
+/// structures the numeric kernels read (analysis records, row counts, the
+/// overflow pool) are resident whether this call built them or a previous
+/// one did.
 #[allow(clippy::too_many_arguments)]
 fn execute_inner<V: Scalar>(
     dev: &DeviceConfig,
@@ -684,33 +594,17 @@ fn execute_inner<V: Scalar>(
     b: &Csr<V>,
     pool: &WorkspacePool<V>,
     reused: bool,
-    tracing: bool,
-    auditing: bool,
-    m: MetricsSink<'_>,
+    obs: Observe<'_>,
 ) -> (Csr<V>, MultiplyReport) {
     plan.check_shape(a, b);
+    let m = obs.metrics;
     let span = m.span("execute");
     if reused {
         m.add("engine/plan_reuses", 1);
     }
     let cascade = KernelCascade::for_device(dev);
-    let alloc_s = |n: usize| dev.cycles_to_seconds(dev.alloc_overhead_cycles) * n as f64;
-    let mut timeline = if reused {
-        Timeline::new()
-    } else {
-        plan.setup_timeline.clone()
-    };
-    // Mirrors the timeline exactly: a reused call traces only the stages
-    // that run; a cold call resumes from the plan's setup trace so the
-    // combined trace covers the whole pipeline. Auditing rides on the
-    // same trace even when the caller asked for no trace in the report.
-    let mut tracer = (tracing || auditing).then(|| {
-        if reused {
-            TraceBuilder::new(dev)
-        } else {
-            TraceBuilder::resume(dev, plan.setup_trace.as_ref())
-        }
-    });
+    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
+    let mut log = StageLog::default();
     let mut mem = MemTracker::new();
     mem.alloc(plan.setup_mem_bytes);
     // Output matrix C: counted for memory, not for time (paper §6: "the
@@ -728,55 +622,44 @@ fn execute_inner<V: Scalar>(
         let _s = span.child("numeric");
         run_numeric(dev, cost, &cascade, cfg, a, b, &plan.info, &job, pool)
     };
-    for r in &num.reports {
-        timeline.add_kernel(stage::NUMERIC, r);
-        m.record_kernel(stage::NUMERIC, r);
-    }
-    if let Some(t) = tracer.as_mut() {
-        let anns = pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups);
-        for (r, (acc, cfg_idx, ann)) in num.reports.iter().zip(anns) {
-            t.add_kernel(stage::NUMERIC, r, Some(cfg_idx), Some(acc), Some(ann));
-        }
-    }
     num.record_metrics(&m);
+    let anns = obs
+        .annotates()
+        .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups));
+    log.kernels(stage::NUMERIC, num.reports, anns);
 
     // Stage 6: sorting.
-    if let Some(r) = &num.sort_report {
+    if let Some(r) = num.sort_report {
         let _s = span.child("sorting");
-        timeline.add_kernel(stage::SORTING, r);
-        m.record_kernel(stage::SORTING, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::SORTING, r, None, None, None);
-        }
+        log.kernels(stage::SORTING, [r], None);
         // Radix double-buffer.
         mem.alloc(num.radix_elems * (4 + std::mem::size_of::<V>()));
-        timeline.add_fixed(stage::SORTING, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::SORTING, "alloc", alloc_s(1));
-        }
+        log.fixed(stage::SORTING, "alloc", alloc_s);
     }
+    log.record_metrics(&m);
 
+    let both = [&plan.setup_log, &log];
+    let logs = if reused { &both[1..] } else { &both[..] };
+    let trace = obs
+        .annotates()
+        .then(|| Arc::new(ExecutionTrace::from_logs(dev, logs)));
     // The audit is built read-only from the finished trace *after* every
     // kernel ran: it never changes simulated results.
-    let finished = tracer.map(TraceBuilder::finish);
-    let audit = if auditing {
-        finished.as_ref().map(|tr| {
-            Arc::new(crate::audit::build_report(
-                dev,
-                cost,
-                cfg,
-                &plan.info,
-                &plan.row_nnz,
-                &plan.sym_gate,
-                &plan.nplan.gate,
-                plan.b_cols,
-                std::mem::size_of::<V>(),
-                tr,
-            ))
-        })
-    } else {
-        None
-    };
+    let audit = trace.as_ref().filter(|_| obs.audit).map(|tr| {
+        Arc::new(crate::audit::build_report(
+            dev,
+            cost,
+            cfg,
+            &plan.info,
+            &plan.row_nnz,
+            &plan.sym_gate,
+            &plan.nplan.gate,
+            plan.b_cols,
+            std::mem::size_of::<V>(),
+            tr,
+        ))
+    });
+    let timeline = StageLog::timeline(logs);
     let report = MultiplyReport {
         sim_time_s: timeline.total_seconds(),
         peak_mem_bytes: mem.peak(),
@@ -791,11 +674,7 @@ fn execute_inner<V: Scalar>(
         radix_elems: num.radix_elems,
         products: plan.info.total_products,
         reused_plan: reused,
-        trace: if tracing {
-            finished.map(Arc::new)
-        } else {
-            None
-        },
+        trace: trace.filter(|_| obs.trace),
         audit,
         timeline,
     };

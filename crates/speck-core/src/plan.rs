@@ -29,7 +29,7 @@
 
 use crate::analysis::AnalysisInfo;
 use crate::global_lb::{GateProvenance, PassPlan, PassSummary};
-use speck_simt::Timeline;
+use crate::stage_log::StageLog;
 use speck_sparse::{Csr, Scalar};
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
@@ -44,8 +44,9 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// different from the FNV offset basis works.
 const CHECK_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a over a byte stream (used for the engine's environment digest).
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte stream: the engine's environment digest, the
+/// metrics registry's shard choice, and the benchmark's sim digest.
+pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -175,19 +176,17 @@ pub struct SpgemmPlan<V> {
     pub(crate) row_nnz: Vec<u32>,
     /// Prefix-summed row offsets of C (`row_nnz` scanned; len `rows+1`).
     pub(crate) row_ptr: Vec<usize>,
-    /// Simulated timeline of the setup stages (analysis through numeric
-    /// load balancing, including their allocation overheads).
-    pub(crate) setup_timeline: Timeline,
+    /// Stage log of the setup stages (analysis through numeric load
+    /// balancing, including their allocation overheads). A cold execute
+    /// folds it ahead of its own log; its launches carry annotations only
+    /// when the plan was built by a tracing or auditing engine.
+    pub(crate) setup_log: StageLog,
     /// Simulated device bytes the setup stages allocated (analysis
     /// records, LB bookkeeping, row counts, the global overflow-map
     /// pool). Held by the plan, so reused executions still account them.
     pub(crate) setup_mem_bytes: usize,
     /// Blocks that spilled to a global hash map during the symbolic pass.
     pub(crate) sym_spilled_blocks: usize,
-    /// Execution trace of the setup stages, captured only when the plan
-    /// was built by a tracing engine — a cold execute resumes from it so
-    /// the combined trace covers the whole pipeline.
-    pub(crate) setup_trace: Option<crate::trace::ExecutionTrace>,
     pub(crate) _values: PhantomData<fn() -> V>,
 }
 
@@ -215,7 +214,7 @@ impl<V: Scalar> SpgemmPlan<V> {
     /// Simulated seconds of the setup stages this plan amortises
     /// (analysis + symbolic load + symbolic pass + numeric load).
     pub fn setup_sim_time_s(&self) -> f64 {
-        self.setup_timeline.total_seconds()
+        StageLog::timeline(&[&self.setup_log]).total_seconds()
     }
 
     /// Checks that `(a, b)` structurally match the plan's dimensions and

@@ -253,15 +253,6 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
     }
 }
 
-fn acc_label(a: Option<AccMethod>) -> &'static str {
-    match a {
-        Some(AccMethod::Hash) => "hash",
-        Some(AccMethod::Dense) => "dense",
-        Some(AccMethod::Direct) => "direct",
-        None => "-",
-    }
-}
-
 fn fmt_rows(rows: &[u32]) -> String {
     match rows.len() {
         0 => "-".to_string(),
@@ -299,7 +290,7 @@ impl ProfileReport {
                 out,
                 "  {:<14} {:<7} {:>4} {:>9} {:>8} {:>14.0}",
                 stage,
-                acc_label(*acc),
+                acc.map_or("-", AccMethod::name),
                 bin_s,
                 c.launches,
                 c.blocks,
@@ -389,7 +380,7 @@ impl ProfileReport {
                 "\n    {{\"stage\": {:?}, \"acc\": {:?}, \"bin\": {}, \"launches\": {}, \
                  \"blocks\": {}, \"block_cycles\": {}, \"seconds\": {}}}",
                 stage,
-                acc_label(*acc),
+                acc.map_or("-", AccMethod::name),
                 bin.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
                 c.launches,
                 c.blocks,
@@ -530,7 +521,7 @@ impl TraceDiff {
                     out,
                     "  {:<14} {:<7} {:>4} {:>14.0} {:>14.0} {:>+14.0}",
                     stage,
-                    acc_label(*acc),
+                    acc.map_or("-", AccMethod::name),
                     bin_s,
                     o,
                     n,
@@ -545,7 +536,8 @@ impl TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{BlockAnnotation, TraceBuilder};
+    use crate::stage_log::{LaunchAnnotation, StageLog};
+    use crate::trace::BlockAnnotation;
     use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
 
     fn traced_report(
@@ -563,22 +555,19 @@ mod tests {
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_hash_c1", 8);
-        let mut tb = TraceBuilder::new(&dev);
-        tb.add_kernel(
-            "num. SpGEMM",
-            &rep,
-            Some(1),
-            Some(AccMethod::Hash),
-            Some(
-                (0..8)
-                    .map(|i| BlockAnnotation {
-                        rows: vec![i as u32],
-                        group_size: Some(8),
-                    })
-                    .collect(),
-            ),
-        );
-        tb.finish()
+        let launch = LaunchAnnotation {
+            bin: 1,
+            acc: AccMethod::Hash,
+            blocks: (0..8)
+                .map(|i| BlockAnnotation {
+                    rows: vec![i as u32],
+                    group_size: Some(8),
+                })
+                .collect(),
+        };
+        let mut log = StageLog::default();
+        log.kernels("num. SpGEMM", [rep], Some(vec![launch]));
+        ExecutionTrace::from_logs(&dev, &[&log])
     }
 
     #[test]
@@ -619,20 +608,19 @@ mod tests {
         assert!(t.contains("SM utilization"));
         assert!(t.contains("per-bin cycle attribution"));
         let j = p.to_json();
-        assert!(crate::trace::parse_json_value(&j).is_ok());
+        assert!(crate::json::parse_json_value(&j).is_ok());
     }
 
     #[test]
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut cold = TraceBuilder::new(&dev);
-        cold.add_fixed("analysis", "alloc", 2e-6);
-        cold.add_kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
-        let cold = cold.finish();
-        let mut warm = TraceBuilder::new(&dev);
-        warm.add_kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
-        let warm = warm.finish();
+        let mut warm = StageLog::default();
+        warm.kernels("num. SpGEMM", [rep], None);
+        let mut setup = StageLog::default();
+        setup.fixed("analysis", "alloc", 2e-6);
+        let cold = ExecutionTrace::from_logs(&dev, &[&setup, &warm]);
+        let warm = ExecutionTrace::from_logs(&dev, &[&warm]);
 
         let d = diff_traces(&cold, &warm);
         assert!(d.total_delta_s < 0.0);

@@ -13,12 +13,11 @@
 //! # Event model
 //!
 //! An [`ExecutionTrace`] is an ordered list of [`TraceRecord`]s on a
-//! multiply-local clock, one per `Timeline::add_kernel` /
-//! `Timeline::add_fixed` call the pipeline makes, in the same order.
-//! Folding record durations per stage therefore reconciles *bit-for-bit*
-//! with the `Timeline` stage seconds (and, scaled to `cycles_milli`, with
-//! the `sim/stage/*` metrics counters) — pinned by the reconciliation
-//! proptests.
+//! multiply-local clock, one per entry of the multiply's
+//! [`StageLog`] — the same entries the `Timeline` and the
+//! `sim/stage/*` metrics counters fold. Folding record durations per
+//! stage therefore reconciles *bit-for-bit* with the `Timeline` stage
+//! seconds — pinned by the reconciliation proptests.
 //!
 //! # Determinism classes
 //!
@@ -31,8 +30,10 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
+use crate::json::{parse_json_value, push_num, push_string};
 use crate::local_lb::select_group_size;
-use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace, KernelReport};
+use crate::stage_log::{LaunchAnnotation, StageEvent, StageLog};
+use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -125,23 +126,6 @@ pub struct ExecutionTrace {
     pub end_s: f64,
 }
 
-fn acc_name(a: AccMethod) -> &'static str {
-    match a {
-        AccMethod::Hash => "hash",
-        AccMethod::Dense => "dense",
-        AccMethod::Direct => "direct",
-    }
-}
-
-fn acc_from_name(s: &str) -> Option<AccMethod> {
-    match s {
-        "hash" => Some(AccMethod::Hash),
-        "dense" => Some(AccMethod::Dense),
-        "direct" => Some(AccMethod::Direct),
-        _ => None,
-    }
-}
-
 fn acc_from_group_key(m: u8) -> AccMethod {
     match m {
         0 => AccMethod::Hash,
@@ -189,106 +173,54 @@ impl ExecutionTrace {
     }
 }
 
-/// Builds an [`ExecutionTrace`] alongside the pipeline's `Timeline`: the
-/// pipeline calls [`TraceBuilder::add_kernel`] / [`TraceBuilder::add_fixed`]
-/// adjacent to every `Timeline::add_kernel` / `add_fixed`, in the same
-/// order, so the finished trace reconciles with the timeline exactly.
-#[derive(Clone, Debug)]
-pub struct TraceBuilder {
-    device_name: String,
-    num_sms: usize,
-    max_blocks_per_sm: usize,
-    clock_ghz: f64,
-    launch_overhead_cycles: f64,
-    clock_s: f64,
-    records: Vec<TraceRecord>,
-}
-
-impl TraceBuilder {
-    /// An empty trace for `dev`, clock at zero.
-    pub fn new(dev: &DeviceConfig) -> Self {
-        TraceBuilder {
+impl ExecutionTrace {
+    /// Folds stage logs, in order, into a trace for `dev` on one
+    /// multiply-local clock starting at zero. Each kernel record's
+    /// duration is its `sim_time_s` (launch overhead included) — exactly
+    /// what the `Timeline` fold accumulates.
+    pub fn from_logs(dev: &DeviceConfig, logs: &[&StageLog]) -> ExecutionTrace {
+        let mut clock_s = 0.0;
+        let mut records = Vec::new();
+        for e in logs.iter().flat_map(|l| l.entries()) {
+            let (dur_s, kind) = match &e.event {
+                StageEvent::Fixed { label, seconds } => (
+                    *seconds,
+                    TraceRecordKind::Fixed {
+                        label: label.to_string(),
+                    },
+                ),
+                StageEvent::Kernel { report, launch } => (
+                    report.sim_time_s,
+                    TraceRecordKind::Kernel(KernelTraceRecord {
+                        name: report.name.to_string(),
+                        grid: report.grid,
+                        threads: report.cfg.threads,
+                        scratch_bytes: report.cfg.scratch_bytes,
+                        blocks_per_sm: report.blocks_per_sm,
+                        body_cycles: (report.sim_cycles - dev.launch_overhead_cycles).max(0.0),
+                        bin: launch.as_ref().map(|l| l.bin),
+                        acc: launch.as_ref().map(|l| l.acc),
+                        blocks: report.trace.clone(),
+                        annotations: launch.as_ref().map(|l| l.blocks.clone()),
+                    }),
+                ),
+            };
+            records.push(TraceRecord {
+                stage: e.stage.to_string(),
+                start_s: clock_s,
+                dur_s,
+                kind,
+            });
+            clock_s += dur_s;
+        }
+        ExecutionTrace {
             device_name: dev.name.to_string(),
             num_sms: dev.num_sms,
             max_blocks_per_sm: dev.max_blocks_per_sm,
             clock_ghz: dev.clock_ghz,
             launch_overhead_cycles: dev.launch_overhead_cycles,
-            clock_s: 0.0,
-            records: Vec::new(),
-        }
-    }
-
-    /// A builder resuming after `setup` (a plan's setup-stage trace): its
-    /// records are replayed verbatim and the clock continues from its end
-    /// — mirroring how a cold execute starts from the plan's setup
-    /// timeline.
-    pub fn resume(dev: &DeviceConfig, setup: Option<&ExecutionTrace>) -> Self {
-        let mut b = Self::new(dev);
-        if let Some(s) = setup {
-            b.records = s.records.clone();
-            b.clock_s = s.end_s;
-        }
-        b
-    }
-
-    /// Appends one kernel launch, advancing the clock by its
-    /// `sim_time_s`. `bin`/`acc`/`annotations` carry the spECK semantics
-    /// for SpGEMM kernels and are `None` for helper kernels (analysis,
-    /// binning, merging, sorting).
-    pub fn add_kernel(
-        &mut self,
-        stage: &str,
-        report: &KernelReport,
-        bin: Option<usize>,
-        acc: Option<AccMethod>,
-        annotations: Option<Vec<BlockAnnotation>>,
-    ) {
-        let body_cycles = (report.sim_cycles - self.launch_overhead_cycles).max(0.0);
-        let rec = KernelTraceRecord {
-            name: report.name.to_string(),
-            grid: report.grid,
-            threads: report.cfg.threads,
-            scratch_bytes: report.cfg.scratch_bytes,
-            blocks_per_sm: report.blocks_per_sm,
-            body_cycles,
-            bin,
-            acc,
-            blocks: report.trace.clone(),
-            annotations,
-        };
-        self.records.push(TraceRecord {
-            stage: stage.to_string(),
-            start_s: self.clock_s,
-            dur_s: report.sim_time_s,
-            kind: TraceRecordKind::Kernel(rec),
-        });
-        self.clock_s += report.sim_time_s;
-    }
-
-    /// Appends a fixed-duration step (allocation overheads), advancing the
-    /// clock by `seconds`.
-    pub fn add_fixed(&mut self, stage: &str, label: &str, seconds: f64) {
-        self.records.push(TraceRecord {
-            stage: stage.to_string(),
-            start_s: self.clock_s,
-            dur_s: seconds,
-            kind: TraceRecordKind::Fixed {
-                label: label.to_string(),
-            },
-        });
-        self.clock_s += seconds;
-    }
-
-    /// Finishes the trace.
-    pub fn finish(self) -> ExecutionTrace {
-        ExecutionTrace {
-            device_name: self.device_name,
-            num_sms: self.num_sms,
-            max_blocks_per_sm: self.max_blocks_per_sm,
-            clock_ghz: self.clock_ghz,
-            launch_overhead_cycles: self.launch_overhead_cycles,
-            records: self.records,
-            end_s: self.clock_s,
+            records,
+            end_s: clock_s,
         }
     }
 }
@@ -296,7 +228,6 @@ impl TraceBuilder {
 /// Per-launch spECK annotations for one pass, in the launch order
 /// [`crate::symbolic::group_blocks`] produces (BTreeMap iteration order —
 /// the same order `run_symbolic`/`run_numeric` push their reports).
-/// Returns `(method, cfg_idx, annotations)` per launch.
 pub(crate) fn pass_annotations(
     dev: &DeviceConfig,
     cascade: &KernelCascade,
@@ -304,7 +235,7 @@ pub(crate) fn pass_annotations(
     info: &AnalysisInfo,
     plan: &PassPlan,
     groups: &BTreeMap<(u8, usize), Vec<usize>>,
-) -> Vec<(AccMethod, usize, Vec<BlockAnnotation>)> {
+) -> Vec<LaunchAnnotation> {
     groups
         .iter()
         .map(|(&(method, cfg_idx), group)| {
@@ -313,7 +244,7 @@ pub(crate) fn pass_annotations(
                 AccMethod::Direct => 256.min(dev.max_threads_per_block),
                 _ => cascade.config(cfg_idx).threads,
             };
-            let anns = group
+            let blocks = group
                 .iter()
                 .map(|&bi| {
                     let rows = plan.blocks[bi].rows.clone();
@@ -334,7 +265,11 @@ pub(crate) fn pass_annotations(
                     BlockAnnotation { rows, group_size }
                 })
                 .collect();
-            (acc, cfg_idx, anns)
+            LaunchAnnotation {
+                bin: cfg_idx,
+                acc,
+                blocks,
+            }
         })
         .collect()
 }
@@ -342,34 +277,6 @@ pub(crate) fn pass_annotations(
 // ---------------------------------------------------------------------------
 // Chrome Trace Event export
 // ---------------------------------------------------------------------------
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes an f64 as a JSON number (Rust's shortest-roundtrip `Display` —
-/// deterministic, and re-parsing recovers the exact value).
-fn push_num(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
 
 impl ExecutionTrace {
     /// Seconds → trace microseconds.
@@ -402,9 +309,9 @@ impl ExecutionTrace {
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"format\": ");
-        push_json_string(&mut out, TRACE_FORMAT);
+        push_string(&mut out, TRACE_FORMAT);
         out.push_str(", \"device\": ");
-        push_json_string(&mut out, &self.device_name);
+        push_string(&mut out, &self.device_name);
         let _ = write!(
             out,
             ", \"num_sms\": {}, \"max_blocks_per_sm\": {}, \"clock_ghz\": ",
@@ -433,7 +340,7 @@ impl ExecutionTrace {
             "{{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"process_name\", \
              \"args\": {{\"name\": "
         );
-        push_json_string(&mut meta, &format!("SM slots ({})", self.device_name));
+        push_string(&mut meta, &format!("SM slots ({})", self.device_name));
         meta.push_str("}}");
         event(&mut out, &meta);
         event(
@@ -482,7 +389,7 @@ impl ExecutionTrace {
             }
             let mut f = String::new();
             f.push_str("{\"ph\": \"X\", \"pid\": 2, \"tid\": 0, \"name\": ");
-            push_json_string(&mut f, stage);
+            push_string(&mut f, stage);
             f.push_str(", \"cat\": \"stage\", \"ts\": ");
             push_num(&mut f, self.us(start));
             f.push_str(", \"dur\": ");
@@ -498,9 +405,9 @@ impl ExecutionTrace {
             match &r.kind {
                 TraceRecordKind::Fixed { label } => {
                     k.push_str("{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": ");
-                    push_json_string(&mut k, label);
+                    push_string(&mut k, label);
                     k.push_str(", \"cat\": ");
-                    push_json_string(&mut k, &r.stage);
+                    push_string(&mut k, &r.stage);
                     k.push_str(", \"ts\": ");
                     push_num(&mut k, self.us(r.start_s));
                     k.push_str(", \"dur\": ");
@@ -515,9 +422,9 @@ impl ExecutionTrace {
                 }
                 TraceRecordKind::Kernel(kr) => {
                     k.push_str("{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": ");
-                    push_json_string(&mut k, &kr.name);
+                    push_string(&mut k, &kr.name);
                     k.push_str(", \"cat\": ");
-                    push_json_string(&mut k, &r.stage);
+                    push_string(&mut k, &r.stage);
                     k.push_str(", \"ts\": ");
                     push_num(&mut k, self.us(r.start_s));
                     k.push_str(", \"dur\": ");
@@ -538,7 +445,7 @@ impl ExecutionTrace {
                         let _ = write!(k, ", \"bin\": {bin}");
                     }
                     if let Some(acc) = kr.acc {
-                        let _ = write!(k, ", \"acc\": \"{}\"", acc_name(acc));
+                        let _ = write!(k, ", \"acc\": \"{}\"", acc.name());
                     }
                     k.push_str("}}");
                     event(&mut out, &k);
@@ -557,10 +464,10 @@ impl ExecutionTrace {
                             b.push_str(", \"name\": ");
                             match ann {
                                 Some(a) if a.rows.len() == 1 => {
-                                    push_json_string(&mut b, &format!("row {}", a.rows[0]));
+                                    push_string(&mut b, &format!("row {}", a.rows[0]));
                                 }
                                 Some(a) if !a.rows.is_empty() => {
-                                    push_json_string(
+                                    push_string(
                                         &mut b,
                                         &format!(
                                             "rows[{}] {}..{}",
@@ -570,10 +477,10 @@ impl ExecutionTrace {
                                         ),
                                     );
                                 }
-                                _ => push_json_string(&mut b, &format!("b{}", e.grid_idx)),
+                                _ => push_string(&mut b, &format!("b{}", e.grid_idx)),
                             }
                             b.push_str(", \"cat\": ");
-                            push_json_string(&mut b, &kr.name);
+                            push_string(&mut b, &kr.name);
                             b.push_str(", \"ts\": ");
                             push_num(&mut b, base_us + self.cycles_us(e.start_cycles));
                             b.push_str(", \"dur\": ");
@@ -599,7 +506,7 @@ impl ExecutionTrace {
                                         .map(|r| r.to_string())
                                         .collect::<Vec<_>>()
                                         .join(",");
-                                    push_json_string(&mut b, &list);
+                                    push_string(&mut b, &list);
                                 }
                                 if let Some(g) = a.group_size {
                                     let _ = write!(b, ", \"g\": {g}");
@@ -624,257 +531,8 @@ impl ExecutionTrace {
 }
 
 // ---------------------------------------------------------------------------
-// Dependency-free Chrome Trace Event parser + trace reconstruction
+// Trace reconstruction from a Chrome Trace Event export
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value (the subset Chrome traces use).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks a key up in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as f64, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as usize, if a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(v) if *v >= 0.0 && *v == v.trunc() => Some(*v as usize),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("trace json: {what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.peek() == Some(ch) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", ch as char))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.pos) else {
-                        return self.err("dangling escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                c if c < 0x80 => s.push(c as char),
-                c => {
-                    // Re-decode a multi-byte UTF-8 sequence.
-                    let start = self.pos - 1;
-                    let len = if c >= 0xf0 {
-                        4
-                    } else if c >= 0xe0 {
-                        3
-                    } else {
-                        2
-                    };
-                    let chunk = self
-                        .b
-                        .get(start..start + len)
-                        .ok_or("truncated utf-8 sequence")?;
-                    s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'{') => {
-                self.expect(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                loop {
-                    let key = self.parse_string()?;
-                    self.expect(b':')?;
-                    let v = self.parse_value()?;
-                    fields.push((key, v));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(fields));
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(b't') => {
-                if self.b[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    Ok(JsonValue::Bool(true))
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(b'f') => {
-                if self.b[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    Ok(JsonValue::Bool(false))
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(b'n') => {
-                if self.b[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(c) if c.is_ascii_digit() || c == b'-' || c == b'+' => {
-                let start = self.pos;
-                while self.b.get(self.pos).is_some_and(|c| {
-                    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let t = std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())?;
-                t.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|e| format!("trace json: bad number '{t}': {e}"))
-            }
-            _ => self.err("expected a value"),
-        }
-    }
-}
-
-/// Parses one JSON document (any value shape). Dependency-free — this is
-/// the in-repo validator for exported Chrome traces.
-pub fn parse_json_value(text: &str) -> Result<JsonValue, String> {
-    let mut p = JsonParser {
-        b: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return p.err("trailing data");
-    }
-    Ok(v)
-}
 
 impl ExecutionTrace {
     /// Reconstructs a trace from its Chrome Trace Event JSON export.
@@ -957,7 +615,7 @@ impl ExecutionTrace {
                     acc: args
                         .get("acc")
                         .and_then(|v| v.as_str())
-                        .and_then(acc_from_name),
+                        .and_then(AccMethod::from_name),
                     blocks: None,
                     annotations: None,
                 }),
@@ -993,13 +651,9 @@ impl ExecutionTrace {
             let compute_cycles = getf("compute_cycles");
             let memory_cycles = getf("memory_cycles");
             let mut cost = BlockCost::default();
-            if let JsonValue::Obj(fields) = args {
-                for (k, v) in fields {
-                    if let Some(cname) = k.strip_prefix("cost/") {
-                        if let Some(n) = v.as_f64() {
-                            cost.set_counter(cname, n as u64);
-                        }
-                    }
+            for (k, v) in args.as_obj().unwrap_or_default() {
+                if let (Some(cname), Some(n)) = (k.strip_prefix("cost/"), v.as_u64()) {
+                    cost.set_counter(cname, n);
                 }
             }
             let ann = args.get("rows").and_then(|v| v.as_str()).map(|list| {
@@ -1087,24 +741,21 @@ mod tests {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut tb = TraceBuilder::new(&dev);
-        tb.add_kernel(
-            "symb. SpGEMM",
-            &report,
-            Some(2),
-            Some(AccMethod::Hash),
-            Some(
-                (0..6)
-                    .map(|i| BlockAnnotation {
-                        rows: vec![i as u32, (i + 10) as u32],
-                        group_size: Some(4),
-                    })
-                    .collect(),
-            ),
-        );
-        tb.add_fixed("symb. SpGEMM", "alloc", 1e-6);
-        tb.add_kernel("sorting", &report, None, None, None);
-        tb.finish()
+        let mut log = StageLog::default();
+        let launch = LaunchAnnotation {
+            bin: 2,
+            acc: AccMethod::Hash,
+            blocks: (0..6)
+                .map(|i| BlockAnnotation {
+                    rows: vec![i as u32, (i + 10) as u32],
+                    group_size: Some(4),
+                })
+                .collect(),
+        };
+        log.kernels("symb. SpGEMM", [report.clone()], Some(vec![launch]));
+        log.fixed("symb. SpGEMM", "alloc", 1e-6);
+        log.kernels("sorting", [report], None);
+        ExecutionTrace::from_logs(&dev, &[&log])
     }
 
     #[test]
@@ -1175,25 +826,8 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json_value("{").is_err());
-        assert!(parse_json_value("[1, 2,]").is_err());
-        assert!(parse_json_value("{\"a\": }").is_err());
-        assert!(parse_json_value("12 34").is_err());
+    fn chrome_import_rejects_foreign_json() {
         assert!(ExecutionTrace::from_chrome_trace("{\"traceEvents\": []}").is_err());
-    }
-
-    #[test]
-    fn parser_accepts_standard_json_shapes() {
-        let v = parse_json_value(
-            "{\"a\": [1, -2.5, 3e2], \"b\": {\"c\": null, \"d\": true}, \"e\": \"x\\ny\"}",
-        )
-        .unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(300.0)
-        );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
-        assert_eq!(v.get("e").unwrap().as_str(), Some("x\ny"));
+        assert!(ExecutionTrace::from_chrome_trace("[").is_err());
     }
 }
