@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 test suite.
+# Local CI gate: formatting, lints, rustdoc, and the tier-1 test suite.
 #
-#   ./ci.sh             # fmt + clippy + tests
+#   ./ci.sh             # fmt + clippy + rustdoc + tests
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -71,6 +71,13 @@ if ! cargo clippy --version >/dev/null 2>&1; then
     exit 3
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc is the only check that catches dangling intra-doc links. The
+# offline shims in shims/* stand in for external crates and are left out.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
+    -p speck-sparse -p speck-simt -p speck-core -p speck-baselines \
+    -p speck-bench -p speck-repro
 
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release

@@ -262,7 +262,7 @@ fn main() {
     if o.trace_out.is_some() || o.profile {
         // One cold traced multiply on a dedicated engine: the trace covers
         // the whole pipeline (setup + execution), and the timing loop
-        // above stays untouched by capture.
+        // above stays untouched by tracing.
         let traced = SpeckSpgemm::default()
             .with_plan_cache_capacity(0)
             .with_tracing(true);
@@ -285,7 +285,7 @@ fn main() {
     if o.audit_out.is_some() || o.audit_table.is_some() {
         // One cold audited multiply on a dedicated engine, mirroring the
         // trace section: the decision report covers the whole pipeline and
-        // the timing loop above stays free of capture overhead.
+        // the timing loop above stays free of audit overhead.
         let audited = SpeckSpgemm::default()
             .with_plan_cache_capacity(0)
             .with_auditing(true);

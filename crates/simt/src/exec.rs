@@ -6,10 +6,9 @@ use crate::block::BlockCtx;
 use crate::cost::{BlockCost, CostModel};
 use crate::device::DeviceConfig;
 use crate::kernel::KernelConfig;
-use crate::trace::{self, BlockEvent, BlockPlacement, KernelBlockTrace};
+use crate::trace::BlockPlacement;
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Outcome of one simulated kernel launch.
 #[derive(Clone, Debug)]
@@ -29,10 +28,10 @@ pub struct KernelReport {
     pub sim_cycles: f64,
     /// Simulated execution time in seconds.
     pub sim_time_s: f64,
-    /// Per-block schedule trace, present only while a
-    /// [`trace::CaptureGuard`] was alive at launch time. `Arc` so cloning
-    /// reports (timelines do) never copies event vectors.
-    pub trace: Option<Arc<KernelBlockTrace>>,
+    /// Event counters of every block in grid order, from which
+    /// [`crate::KernelBlockTrace::new`] derives the per-block schedule.
+    /// Whoever keeps the report decides whether to keep these.
+    pub block_costs: Vec<BlockCost>,
 }
 
 /// Schedules per-block `(compute, memory)` cycle costs onto the device and
@@ -215,33 +214,7 @@ where
         .map(|c| *c)
         .reduce(BlockCost::default, |a, b| a.merge(&b));
 
-    // Capture is checked once per launch; when off the scheduler runs the
-    // identical loop with no extra bookkeeping, so `sim_cycles` is
-    // bit-identical either way.
-    let mut placements = trace::capture_enabled().then(|| Vec::with_capacity(grid));
-    let body = schedule_blocks_placed(dev, cfg, &block_cycles, placements.as_mut());
-    let block_trace = placements.map(|pl| {
-        let events = pl
-            .iter()
-            .zip(costs.iter())
-            .zip(block_cycles.iter())
-            .enumerate()
-            .map(|(i, ((p, c), &(cc, mc)))| BlockEvent {
-                grid_idx: i as u32,
-                sm: p.sm,
-                slot: p.slot,
-                start_cycles: p.start_cycles,
-                end_cycles: p.end_cycles,
-                compute_cycles: cc,
-                memory_cycles: mc,
-                cost: *c,
-            })
-            .collect();
-        Arc::new(KernelBlockTrace {
-            events,
-            body_cycles: body,
-        })
-    });
+    let body = schedule_blocks(dev, cfg, &block_cycles);
     let sim_cycles = body + dev.launch_overhead_cycles;
     let report = KernelReport {
         name,
@@ -251,7 +224,7 @@ where
         total_cost,
         sim_cycles,
         sim_time_s: dev.cycles_to_seconds(sim_cycles),
-        trace: block_trace,
+        block_costs: costs,
     };
     (report, outputs)
 }
@@ -470,7 +443,7 @@ mod tests {
     fn schedule_empty_block_list_is_zero() {
         let d = dev();
         assert_eq!(schedule_blocks(&d, KernelConfig::new(32, 0), &[]), 0.0);
-        // And with capture on: still zero, no placements recorded.
+        // With placement recording on: still zero, and no placements.
         let mut pl = Vec::new();
         let t = schedule_blocks_placed(&d, KernelConfig::new(32, 0), &[], Some(&mut pl));
         assert_eq!(t, 0.0);
@@ -555,36 +528,29 @@ mod tests {
     }
 
     #[test]
-    fn capture_records_one_event_per_block() {
+    fn trace_derived_from_report_matches_launch() {
         let d = dev();
+        let cost = CostModel::default();
+        let cfg = KernelConfig::new(64, 0);
         let run = || {
-            launch(
-                &d,
-                &CostModel::default(),
-                "traced",
-                37,
-                KernelConfig::new(64, 0),
-                |ctx| {
-                    ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
-                    ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
-                },
-            )
+            launch(&d, &cost, "traced", 37, cfg, |ctx| {
+                ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
+                ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
+            })
         };
-        let untraced = run();
-        assert!(untraced.trace.is_none());
-        let traced = {
-            let _g = crate::trace::CaptureGuard::new();
-            run()
-        };
-        let tr = traced.trace.as_ref().expect("capture was on");
+        let r = run();
+        assert_eq!(r.block_costs.len(), 37);
+        let tr = crate::KernelBlockTrace::new(&d, &cost, cfg, &r.block_costs);
         assert_eq!(tr.events.len(), 37);
-        // Capture must not perturb the simulated time.
-        assert_eq!(traced.sim_cycles.to_bits(), untraced.sim_cycles.to_bits());
-        assert_eq!(tr.body_cycles.to_bits(), untraced.body_cycles(&d).to_bits());
+        // Deriving a trace reads the report; the launch itself is the same
+        // with or without anyone tracing it.
+        assert_eq!(run().sim_cycles.to_bits(), r.sim_cycles.to_bits());
+        assert_eq!(tr.body_cycles.to_bits(), r.body_cycles(&d).to_bits());
         // Events are in grid order with sane placements.
         let bpsm = d.blocks_per_sm(64, 0) as u32;
         for (i, e) in tr.events.iter().enumerate() {
             assert_eq!(e.grid_idx as usize, i);
+            assert_eq!(e.cost, r.block_costs[i]);
             assert!((e.sm as usize) < d.num_sms);
             assert!(e.slot < bpsm);
             assert!(e.end_cycles >= e.start_cycles);
@@ -592,7 +558,7 @@ mod tests {
         }
         // Refolding the events through the scheduler reproduces the body
         // makespan bit-for-bit.
-        let refold = tr.refold_body_cycles(&d, KernelConfig::new(64, 0));
+        let refold = tr.refold_body_cycles(&d, cfg);
         assert_eq!(refold.to_bits(), tr.body_cycles.to_bits());
     }
 

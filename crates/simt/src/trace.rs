@@ -1,21 +1,14 @@
-//! Opt-in per-block execution tracing.
+//! Per-block execution traces, derived from kernel reports.
 //!
-//! The scheduler in [`crate::exec::schedule_blocks`] normally reduces the
-//! per-block schedule to a single makespan. When capture is enabled (see
-//! [`CaptureGuard`]), [`crate::exec::launch_map`] additionally keeps one
-//! [`BlockEvent`] per scheduled block — which SM it was dealt to, which
-//! resident slot it occupied, its start/end cycles on the slot clock, and
-//! its full [`BlockCost`] breakdown — attached to the
-//! [`crate::exec::KernelReport`] as a [`KernelBlockTrace`].
-//!
-//! # Capture switch
-//!
-//! Capture is a process-wide counter flipped by the RAII [`CaptureGuard`]
-//! (nested guards compose: capture is on while at least one guard is
-//! alive). The disabled path costs a single relaxed atomic load per kernel
-//! launch and nothing per block, and capture **never** changes the
-//! simulated cycle arithmetic — the traced and untraced scheduler share
-//! one loop, so `sim_cycles` is bit-identical either way.
+//! [`crate::exec::launch_map`] has one code path: it keeps each block's
+//! costs in [`crate::exec::KernelReport::block_costs`] and never builds
+//! events. [`KernelBlockTrace::new`] derives one [`BlockEvent`] per block
+//! from them — which SM it was dealt to, which resident slot it occupied,
+//! its start/end cycles on the slot clock, and its full [`BlockCost`]
+//! breakdown — by running the cycle split and the scheduler loop that set
+//! the launch's makespan, so events and `body_cycles` are bit-identical
+//! to the launch's own schedule. Nothing is switched process-wide:
+//! tracing one launch cannot change what any other launch records.
 //!
 //! # Determinism classes
 //!
@@ -23,47 +16,10 @@
 //! deal and the functional block costs; traces are therefore byte-stable
 //! across runs and rayon schedules. No wall-clock data is captured.
 
-use crate::cost::BlockCost;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static CAPTURE: AtomicUsize = AtomicUsize::new(0);
-
-/// Returns true while at least one [`CaptureGuard`] is alive.
-///
-/// Checked once per [`crate::exec::launch_map`] call; the per-block hot
-/// path never consults it.
-pub fn capture_enabled() -> bool {
-    CAPTURE.load(Ordering::Relaxed) > 0
-}
-
-/// RAII switch for per-block trace capture.
-///
-/// While a guard is alive every kernel launch in the process records a
-/// [`KernelBlockTrace`] into its report. Guards nest (a counter, not a
-/// flag), so concurrent traced sections compose instead of clobbering
-/// each other.
-#[derive(Debug)]
-pub struct CaptureGuard(());
-
-impl CaptureGuard {
-    /// Enables capture until the guard is dropped.
-    pub fn new() -> Self {
-        CAPTURE.fetch_add(1, Ordering::Relaxed);
-        CaptureGuard(())
-    }
-}
-
-impl Default for CaptureGuard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for CaptureGuard {
-    fn drop(&mut self) {
-        CAPTURE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
+use crate::cost::{BlockCost, CostModel};
+use crate::device::DeviceConfig;
+use crate::exec::schedule_blocks_placed;
+use crate::kernel::KernelConfig;
 
 /// Placement of one block on the simulated device: which SM the greedy
 /// deal chose, which resident slot stacked it, and the slot-clock
@@ -89,7 +45,7 @@ pub struct BlockPlacement {
     pub end_cycles: f64,
 }
 
-/// One captured event per scheduled block.
+/// One event per scheduled block.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockEvent {
     /// Grid index of the block (its `block_id`).
@@ -124,21 +80,52 @@ pub struct KernelBlockTrace {
     /// One event per block, indexed by grid index.
     pub events: Vec<BlockEvent>,
     /// Kernel body makespan in cycles (excluding launch overhead) —
-    /// exactly the value `schedule_blocks` returned for this launch.
+    /// exactly the value `schedule_blocks` returned for the launch.
     pub body_cycles: f64,
 }
 
 impl KernelBlockTrace {
+    /// Derives the trace of a launch of shape `cfg` on `dev` from its
+    /// per-block costs in grid order (see
+    /// [`crate::exec::KernelReport::block_costs`]). The cycle split and the
+    /// greedy deal are the ones [`crate::exec::launch_map`] ran, so
+    /// `body_cycles` equals the launch's body makespan bit for bit.
+    pub fn new(
+        dev: &DeviceConfig,
+        cost: &CostModel,
+        cfg: KernelConfig,
+        blocks: &[BlockCost],
+    ) -> Self {
+        let cycles: Vec<(f64, f64)> = blocks.iter().map(|c| cost.split_cycles(c)).collect();
+        let mut placements = Vec::with_capacity(blocks.len());
+        let body_cycles = schedule_blocks_placed(dev, cfg, &cycles, Some(&mut placements));
+        let events = placements
+            .into_iter()
+            .zip(blocks.iter().zip(cycles))
+            .enumerate()
+            .map(|(i, (p, (c, (cc, mc))))| BlockEvent {
+                grid_idx: i as u32,
+                sm: p.sm,
+                slot: p.slot,
+                start_cycles: p.start_cycles,
+                end_cycles: p.end_cycles,
+                compute_cycles: cc,
+                memory_cycles: mc,
+                cost: *c,
+            })
+            .collect();
+        KernelBlockTrace {
+            events,
+            body_cycles,
+        }
+    }
+
     /// Refolds the recorded events through the scheduler and returns the
     /// recomputed body makespan. Because events are stored in grid order
     /// — the order the greedy deal consumed them — this reproduces
     /// [`KernelBlockTrace::body_cycles`] bit-for-bit; the reconciliation
     /// proptests pin that invariant.
-    pub fn refold_body_cycles(
-        &self,
-        dev: &crate::device::DeviceConfig,
-        cfg: crate::kernel::KernelConfig,
-    ) -> f64 {
+    pub fn refold_body_cycles(&self, dev: &DeviceConfig, cfg: KernelConfig) -> f64 {
         let pairs: Vec<(f64, f64)> = self
             .events
             .iter()
@@ -151,24 +138,6 @@ impl KernelBlockTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn guard_toggles_capture() {
-        // Note: other tests may hold guards concurrently (tests run in
-        // parallel), so only assert the relative effect of our guard.
-        let before = CAPTURE.load(Ordering::Relaxed);
-        {
-            let _g = CaptureGuard::new();
-            assert!(CAPTURE.load(Ordering::Relaxed) > before);
-            assert!(capture_enabled());
-            {
-                let _g2 = CaptureGuard::new();
-                assert!(CAPTURE.load(Ordering::Relaxed) > before + 1);
-            }
-            assert!(capture_enabled());
-        }
-        assert_eq!(CAPTURE.load(Ordering::Relaxed), before);
-    }
 
     #[test]
     fn serial_is_max_of_pipes() {

@@ -169,11 +169,10 @@ impl SpeckSpgemm {
     }
 
     /// Enables (or disables) execution tracing: every multiply through
-    /// this engine captures per-block schedules in the simulator (a
-    /// [`speck_simt::CaptureGuard`] spans the call) and attaches a full
-    /// [`ExecutionTrace`] to its report. Tracing never changes simulated
-    /// results — only the reports grow. Off by default; the disabled path
-    /// costs one atomic load per kernel launch.
+    /// this engine keeps its launches' per-block costs, derives per-block
+    /// schedules from them, and attaches a full [`ExecutionTrace`] to its
+    /// report. Tracing never changes simulated results, nor what any other
+    /// engine records — only this engine's reports grow. Off by default.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
@@ -185,13 +184,13 @@ impl SpeckSpgemm {
     }
 
     /// Enables (or disables) decision auditing: every multiply through
-    /// this engine captures per-block schedules (like tracing) and
+    /// this engine derives per-block schedules (like tracing) and
     /// attaches a [`crate::audit::DecisionReport`] reconciling each
     /// pipeline decision against measured cycles and shadow-cost
     /// estimates of the rejected alternatives. Auditing never changes
     /// simulated results — the report is built read-only from the
-    /// finished trace. Off by default, and the disabled path adds no
-    /// work beyond tracing's one atomic load per launch.
+    /// finished trace. Off by default, and the disabled path does no
+    /// audit work at all.
     pub fn with_auditing(mut self, on: bool) -> Self {
         self.auditing = on;
         self
@@ -296,7 +295,6 @@ impl SpeckSpgemm {
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
         let obs = self.observe();
         obs.metrics.add("engine/multiply_calls", 1);
-        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
         let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
         let execute = |plan: &SpgemmPlan<V>, reused: bool| {
@@ -306,10 +304,11 @@ impl SpeckSpgemm {
             return execute(&plan_inner(dev, cost, cfg, a, b, &pool, obs), false);
         }
         let key = PatternKey::new(a, b, self.env_digest());
-        if let Some(hit) = self.plans.lock().unwrap().get(&key) {
-            if let Ok(plan) = hit.downcast::<SpgemmPlan<V>>() {
-                return execute(&plan, true);
-            }
+        // Bind the hit first: the cache lock must not be held while the
+        // plan executes.
+        let hit = self.plans.lock().unwrap().get(&key);
+        if let Some(plan) = hit.and_then(|h| h.downcast::<SpgemmPlan<V>>().ok()) {
+            return execute(&plan, true);
         }
         let plan = Arc::new(plan_inner(dev, cost, cfg, a, b, &pool, obs));
         let out = execute(&plan, false);
@@ -323,7 +322,6 @@ impl SpeckSpgemm {
     /// across many multiplications of the same pattern.
     pub fn plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> SpgemmPlan<V> {
         let obs = self.observe();
-        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
         plan_inner(&self.device, &self.cost, &self.config, a, b, &pool, obs)
     }
@@ -341,7 +339,6 @@ impl SpeckSpgemm {
         b: &Csr<V>,
     ) -> (Csr<V>, MultiplyReport) {
         let obs = self.observe();
-        let _capture = obs.annotates().then(speck_simt::CaptureGuard::new);
         let pool = self.workspaces.pool::<V>();
         execute_inner(
             &self.device,
@@ -454,7 +451,7 @@ fn plan_inner<V: Scalar>(
     let m = obs.metrics;
     let span = m.span("plan");
     let cascade = KernelCascade::for_device(dev);
-    let mut log = StageLog::default();
+    let mut log = StageLog::new(obs.annotates());
     let mut setup_mem_bytes = 0usize;
     let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
 
@@ -604,7 +601,7 @@ fn execute_inner<V: Scalar>(
     }
     let cascade = KernelCascade::for_device(dev);
     let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
-    let mut log = StageLog::default();
+    let mut log = StageLog::new(obs.annotates());
     let mut mem = MemTracker::new();
     mem.alloc(plan.setup_mem_bytes);
     // Output matrix C: counted for memory, not for time (paper §6: "the
@@ -642,7 +639,7 @@ fn execute_inner<V: Scalar>(
     let logs = if reused { &both[1..] } else { &both[..] };
     let trace = obs
         .annotates()
-        .then(|| Arc::new(ExecutionTrace::from_logs(dev, logs)));
+        .then(|| Arc::new(ExecutionTrace::from_logs(dev, cost, logs)));
     // The audit is built read-only from the finished trace *after* every
     // kernel ran: it never changes simulated results.
     let audit = trace.as_ref().filter(|_| obs.audit).map(|tr| {
@@ -980,7 +977,7 @@ mod tests {
         }
         // Every kernel record carries its per-block schedule.
         for (_, k) in tr.kernels() {
-            let bt = k.blocks.as_ref().expect("capture was on");
+            let bt = k.blocks.as_ref().expect("a traced call keeps block costs");
             assert_eq!(bt.events.len(), k.grid);
         }
         // The export is byte-deterministic across engines.
@@ -1019,6 +1016,63 @@ mod tests {
         let p = crate::profile::profile_trace(cold_tr, 10);
         assert!(!p.top_rows.is_empty());
         assert!((p.top_rows[0].row as usize) < a.rows());
+    }
+
+    #[test]
+    fn tracing_one_engine_leaves_another_engines_plans_untouched() {
+        use crate::stage_log::StageEvent;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        let mats: Vec<Csr<f64>> = (0..6)
+            .map(|s| uniform_random(300 + 20 * s, 300 + 20 * s, 2, 6, 60 + s as u64))
+            .collect();
+        let traced = SpeckSpgemm::default()
+            .with_plan_cache_capacity(0)
+            .with_tracing(true)
+            .with_auditing(true);
+        let plain = SpeckSpgemm::default();
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Keep traced launches in flight for as long as the plain
+                // engine builds plans.
+                start.wait();
+                for m in mats.iter().cycle() {
+                    let (_, r) = traced.multiply(m, m);
+                    assert!(r.trace.is_some() && r.audit.is_some());
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                }
+            });
+            start.wait();
+            for m in &mats {
+                let _ = plain.multiply(m, m);
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+
+        assert_eq!(plain.cached_plans(), mats.len());
+        let mut cache = plain.plans.lock().unwrap();
+        for m in &mats {
+            let key = PatternKey::new(m, m, plain.env_digest());
+            let hit = cache.get(&key).expect("plan cached");
+            let plan = hit.downcast::<SpgemmPlan<f64>>().unwrap();
+            let mut launches = 0;
+            for e in plan.setup_log.entries() {
+                if let StageEvent::Kernel { report, .. } = &e.event {
+                    assert!(
+                        report.block_costs.is_empty(),
+                        "{} kept block costs",
+                        report.name
+                    );
+                    launches += 1;
+                }
+            }
+            assert!(launches > 0);
+        }
     }
 
     #[test]

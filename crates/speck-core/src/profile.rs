@@ -540,21 +540,22 @@ mod tests {
     use crate::trace::BlockAnnotation;
     use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
 
-    fn traced_report(
-        dev: &DeviceConfig,
-        name: &'static str,
-        grid: usize,
-    ) -> speck_simt::KernelReport {
-        let cost = CostModel::default();
-        let _g = speck_simt::CaptureGuard::new();
-        launch(dev, &cost, name, grid, KernelConfig::new(64, 0), |ctx| {
-            ctx.charge_rounds((ctx.block_id() as u64 % 4) * 11 + 2);
-        })
+    fn report(dev: &DeviceConfig, name: &'static str, grid: usize) -> speck_simt::KernelReport {
+        launch(
+            dev,
+            &CostModel::default(),
+            name,
+            grid,
+            KernelConfig::new(64, 0),
+            |ctx| {
+                ctx.charge_rounds((ctx.block_id() as u64 % 4) * 11 + 2);
+            },
+        )
     }
 
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
-        let rep = traced_report(&dev, "numeric_hash_c1", 8);
+        let rep = report(&dev, "numeric_hash_c1", 8);
         let launch = LaunchAnnotation {
             bin: 1,
             acc: AccMethod::Hash,
@@ -565,9 +566,9 @@ mod tests {
                 })
                 .collect(),
         };
-        let mut log = StageLog::default();
+        let mut log = StageLog::new(true);
         log.kernels("num. SpGEMM", [rep], Some(vec![launch]));
-        ExecutionTrace::from_logs(&dev, &[&log])
+        ExecutionTrace::from_logs(&dev, &CostModel::default(), &[&log])
     }
 
     #[test]
@@ -614,13 +615,14 @@ mod tests {
     #[test]
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
-        let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut warm = StageLog::default();
+        let rep = report(&dev, "numeric_direct", 4);
+        let mut warm = StageLog::new(true);
         warm.kernels("num. SpGEMM", [rep], None);
         let mut setup = StageLog::default();
         setup.fixed("analysis", "alloc", 2e-6);
-        let cold = ExecutionTrace::from_logs(&dev, &[&setup, &warm]);
-        let warm = ExecutionTrace::from_logs(&dev, &[&warm]);
+        let cost = CostModel::default();
+        let cold = ExecutionTrace::from_logs(&dev, &cost, &[&setup, &warm]);
+        let warm = ExecutionTrace::from_logs(&dev, &cost, &[&warm]);
 
         let d = diff_traces(&cold, &warm);
         assert!(d.total_delta_s < 0.0);

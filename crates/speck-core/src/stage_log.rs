@@ -1,10 +1,10 @@
 //! The per-multiply stage log: the one record of what a multiplication
 //! did, from which every other view of it is derived.
 //!
-//! The pipeline appends one [`StageEntry`] per event, in the order the
-//! events happen: a kernel launch (its [`KernelReport`], plus the spECK
-//! launch semantics when the call is observed) or a fixed cost such as a
-//! device allocation. Each view is then a fold over the entries:
+//! The pipeline appends one entry per event, in the order the events
+//! happen: a kernel launch (its [`KernelReport`], plus the spECK launch
+//! semantics when the call is observed) or a fixed cost such as a device
+//! allocation. Each view is then a fold over the entries:
 //!
 //! * [`StageLog::timeline`] — the report's per-stage [`Timeline`]
 //!   (paper Fig. 11);
@@ -16,6 +16,8 @@
 //! Because the three folds read the same entries in the same order,
 //! per-stage trace seconds equal the timeline's bit for bit and per-stage
 //! trace launches equal the `sim/stage/<stage>/launches` counters.
+//! Only the trace reads a report's per-block costs, so a log of an
+//! unobserved call drops them (see [`StageLog::new`]).
 
 use crate::global_lb::AccMethod;
 use crate::metrics::MetricsSink;
@@ -68,9 +70,21 @@ pub(crate) struct StageEntry {
 #[derive(Clone, Debug, Default)]
 pub struct StageLog {
     entries: Vec<StageEntry>,
+    /// Whether appended reports keep their per-block costs.
+    keep_blocks: bool,
 }
 
 impl StageLog {
+    /// An empty log. Appended reports keep their per-block costs only when
+    /// `keep_blocks` is set (calls that trace or audit); otherwise the costs
+    /// are dropped, so an unobserved plan in a cache holds no per-block data.
+    pub fn new(keep_blocks: bool) -> Self {
+        StageLog {
+            entries: Vec::new(),
+            keep_blocks,
+        }
+    }
+
     /// Appends one kernel launch per report, in order. `launches`, when
     /// given, annotates the reports one for one.
     pub fn kernels(
@@ -80,7 +94,10 @@ impl StageLog {
         launches: Option<Vec<LaunchAnnotation>>,
     ) {
         let mut launches = launches.map(Vec::into_iter);
-        for report in reports {
+        for mut report in reports {
+            if !self.keep_blocks {
+                report.block_costs = Vec::new();
+            }
             let launch = launches.as_mut().and_then(Iterator::next);
             self.entries.push(StageEntry {
                 stage,

@@ -1,7 +1,7 @@
 //! Per-multiply execution traces: spECK-annotated kernel timelines with
 //! per-block schedules, exported as Chrome Trace Event JSON.
 //!
-//! The simulator's [`speck_simt::trace`] module captures *where each block
+//! The simulator's [`speck_simt::trace`] module derives *where each block
 //! ran* (SM, resident slot, start/end cycles, cost breakdown). This module
 //! adds the spECK semantics the profiler needs — which pipeline stage a
 //! kernel belongs to, which cascade bin and accumulator a block used,
@@ -33,7 +33,7 @@ use crate::global_lb::{AccMethod, PassPlan};
 use crate::json::{parse_json_value, push_num, push_string};
 use crate::local_lb::select_group_size;
 use crate::stage_log::{LaunchAnnotation, StageEvent, StageLog};
-use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace};
+use speck_simt::{BlockCost, BlockEvent, CostModel, DeviceConfig, KernelBlockTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -71,8 +71,8 @@ pub struct KernelTraceRecord {
     pub bin: Option<usize>,
     /// Accumulator kind for SpGEMM kernels.
     pub acc: Option<AccMethod>,
-    /// Per-block schedule from the simulator (grid order), when block
-    /// capture was on during the launch.
+    /// Per-block schedule (grid order), derived from the report's block
+    /// costs when its stage log kept them.
     pub blocks: Option<Arc<KernelBlockTrace>>,
     /// Per-block spECK annotations (grid order), for SpGEMM kernels.
     pub annotations: Option<Vec<BlockAnnotation>>,
@@ -177,8 +177,9 @@ impl ExecutionTrace {
     /// Folds stage logs, in order, into a trace for `dev` on one
     /// multiply-local clock starting at zero. Each kernel record's
     /// duration is its `sim_time_s` (launch overhead included) — exactly
-    /// what the `Timeline` fold accumulates.
-    pub fn from_logs(dev: &DeviceConfig, logs: &[&StageLog]) -> ExecutionTrace {
+    /// what the `Timeline` fold accumulates. Reports that kept their block
+    /// costs get block schedules derived under `cost`.
+    pub fn from_logs(dev: &DeviceConfig, cost: &CostModel, logs: &[&StageLog]) -> ExecutionTrace {
         let mut clock_s = 0.0;
         let mut records = Vec::new();
         for e in logs.iter().flat_map(|l| l.entries()) {
@@ -200,7 +201,14 @@ impl ExecutionTrace {
                         body_cycles: (report.sim_cycles - dev.launch_overhead_cycles).max(0.0),
                         bin: launch.as_ref().map(|l| l.bin),
                         acc: launch.as_ref().map(|l| l.acc),
-                        blocks: report.trace.clone(),
+                        blocks: (report.block_costs.len() == report.grid).then(|| {
+                            Arc::new(KernelBlockTrace::new(
+                                dev,
+                                cost,
+                                report.cfg,
+                                &report.block_costs,
+                            ))
+                        }),
                         annotations: launch.as_ref().map(|l| l.blocks.clone()),
                     }),
                 ),
@@ -736,12 +744,11 @@ mod tests {
     fn sample_trace() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let cost = CostModel::default();
-        let _g = speck_simt::CaptureGuard::new();
         let report = speck_simt::launch(&dev, &cost, "k0", 6, KernelConfig::new(64, 0), |ctx| {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut log = StageLog::default();
+        let mut log = StageLog::new(true);
         let launch = LaunchAnnotation {
             bin: 2,
             acc: AccMethod::Hash,
@@ -755,7 +762,7 @@ mod tests {
         log.kernels("symb. SpGEMM", [report.clone()], Some(vec![launch]));
         log.fixed("symb. SpGEMM", "alloc", 1e-6);
         log.kernels("sorting", [report], None);
-        ExecutionTrace::from_logs(&dev, &[&log])
+        ExecutionTrace::from_logs(&dev, &cost, &[&log])
     }
 
     #[test]

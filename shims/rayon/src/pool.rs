@@ -6,7 +6,14 @@
 //! `&dyn Fn(usize)` plus an atomic chunk cursor), wakes everyone, and the
 //! caller participates too. The caller only returns once every chunk has
 //! finished, which is what makes lending the non-`'static` closure sound.
+//!
+//! A panicking chunk still counts as finished: its payload is kept and
+//! re-raised on the caller once every chunk is done, so a panic neither
+//! kills a worker nor leaves workers holding the closure after the caller
+//! unwinds.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
@@ -21,8 +28,12 @@ struct Task {
     n_chunks: usize,
     cursor: AtomicUsize,
     completed: AtomicUsize,
+    /// Payload of the first chunk that panicked.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
+// SAFETY: every field but `job` is `Send + Sync`; `job` points at a
+// `Sync` closure that outlives every dereference (see its doc comment).
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
@@ -101,8 +112,11 @@ fn run_chunks(shared: &Shared, task: &Task) {
             return;
         }
         // SAFETY: the dispatching caller keeps the closure alive until
-        // `completed` reaches `n_chunks`, and this chunk is counted below.
-        unsafe { (*task.job)(ci) };
+        // `completed` reaches `n_chunks`, and this chunk is counted below
+        // whether or not it panics.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.job)(ci) })) {
+            task.panic.lock().unwrap().get_or_insert(payload);
+        }
         if task.completed.fetch_add(1, Ordering::AcqRel) + 1 == task.n_chunks {
             let _guard = shared.slot.lock().unwrap();
             shared.task_done.notify_all();
@@ -111,7 +125,8 @@ fn run_chunks(shared: &Shared, task: &Task) {
 }
 
 /// Runs `job(chunk_index)` for every index in `0..n_chunks` across the pool.
-/// Blocks until all chunks are done. Nested calls run inline.
+/// Blocks until all chunks are done, then re-raises the first chunk panic,
+/// if any. Nested calls run inline.
 pub fn parallel_chunks(n_chunks: usize, job: &(dyn Fn(usize) + Sync)) {
     if n_chunks == 0 {
         return;
@@ -133,6 +148,7 @@ pub fn parallel_chunks(n_chunks: usize, job: &(dyn Fn(usize) + Sync)) {
         n_chunks,
         cursor: AtomicUsize::new(0),
         completed: AtomicUsize::new(0),
+        panic: Mutex::new(None),
     });
     {
         let mut slot = shared.slot.lock().unwrap();
@@ -152,5 +168,10 @@ pub fn parallel_chunks(n_chunks: usize, job: &(dyn Fn(usize) + Sync)) {
         if std::sync::Arc::ptr_eq(current, &task) {
             slot.1 = None;
         }
+    }
+    drop(slot);
+    let payload = task.panic.lock().unwrap().take();
+    if let Some(payload) = payload {
+        resume_unwind(payload);
     }
 }

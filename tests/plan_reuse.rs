@@ -5,9 +5,11 @@
 
 use proptest::prelude::*;
 use speck_repro::sparse::reference::spgemm_seq;
-use speck_repro::sparse::{Coo, Csr};
+use speck_repro::sparse::{Coo, Csr, Scalar};
 use speck_repro::speck::pipeline::stage;
 use speck_repro::speck::SpeckSpgemm;
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn arb_csr(rows: usize, cols: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>> {
     proptest::collection::vec(
@@ -146,4 +148,109 @@ fn explicit_plan_api_round_trips_through_the_facade() {
     assert!(c.approx_eq(&c_cold, 0.0, 0.0));
     let total = plan.setup_sim_time_s() + r.sim_time_s;
     assert!((total - r_cold.sim_time_s).abs() <= 1e-12 * r_cold.sim_time_s);
+}
+
+/// A scalar whose product panics when an operand is [`Checked::POISON`],
+/// standing in for an overflow-checked integer semiring.
+#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
+struct Checked(f64);
+
+impl Checked {
+    const POISON: f64 = -13.0;
+}
+
+impl Mul for Checked {
+    type Output = Self;
+    fn mul(self, o: Self) -> Self {
+        assert!(
+            self.0 != Self::POISON && o.0 != Self::POISON,
+            "checked multiply overflowed"
+        );
+        Checked(self.0 * o.0)
+    }
+}
+
+impl Add for Checked {
+    type Output = Self;
+    fn add(self, o: Self) -> Self {
+        Checked(self.0 + o.0)
+    }
+}
+
+impl AddAssign for Checked {
+    fn add_assign(&mut self, o: Self) {
+        self.0 += o.0;
+    }
+}
+
+impl Sub for Checked {
+    type Output = Self;
+    fn sub(self, o: Self) -> Self {
+        Checked(self.0 - o.0)
+    }
+}
+
+impl Div for Checked {
+    type Output = Self;
+    fn div(self, o: Self) -> Self {
+        Checked(self.0 / o.0)
+    }
+}
+
+impl Neg for Checked {
+    type Output = Self;
+    fn neg(self) -> Self {
+        Checked(-self.0)
+    }
+}
+
+impl Scalar for Checked {
+    fn zero() -> Self {
+        Checked(0.0)
+    }
+    fn one() -> Self {
+        Checked(1.0)
+    }
+    fn abs(self) -> Self {
+        Checked(self.0.abs())
+    }
+    fn from_f64(v: f64) -> Self {
+        Checked(v)
+    }
+    fn to_f64(self) -> f64 {
+        self.0
+    }
+}
+
+#[test]
+fn panicking_warm_multiply_leaves_the_engine_usable() {
+    let m = speck_repro::sparse::gen::banded(3000, 4, 1.0, 9);
+    let with_vals = |f: &dyn Fn(usize, f64) -> f64| {
+        Csr::from_parts_unchecked(
+            m.rows(),
+            m.cols(),
+            m.row_ptr().to_vec(),
+            m.col_idx().to_vec(),
+            m.vals()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| Checked(f(i, v)))
+                .collect(),
+        )
+    };
+    let a = with_vals(&|_, v| v);
+    let poisoned = with_vals(&|i, v| if i == m.nnz() / 2 { Checked::POISON } else { v });
+
+    let engine = SpeckSpgemm::default();
+    let (c_cold, _) = engine.multiply(&a, &a);
+    let warm = catch_unwind(AssertUnwindSafe(|| engine.multiply(&poisoned, &a)));
+    assert!(warm.is_err(), "the poisoned product must panic");
+
+    // The panic neither poisoned the plan cache nor lost the plan.
+    assert_eq!(engine.cached_plans(), 1);
+    assert_eq!(engine.plan_cache_stats(), (1, 1));
+    let (c_warm, r) = engine.multiply(&a, &a);
+    assert!(r.reused_plan);
+    assert!(c_warm.approx_eq(&c_cold, 0.0, 0.0));
+    assert!(c_warm.approx_eq(&spgemm_seq(&a, &a), 1e-10, 1e-12));
 }
