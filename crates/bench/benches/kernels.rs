@@ -5,13 +5,16 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use speck_core::analysis::analyze;
 use speck_core::block_merge::block_merge;
+use speck_core::cascade::numeric_entry_bytes;
 use speck_core::denseacc::DenseChunk;
+use speck_core::global_lb::{plan_numeric, plan_symbolic, AccMethod};
 use speck_core::hashacc::{compound_key, Accumulator};
 use speck_core::local_lb::select_group_size;
+use speck_core::symbolic::run_symbolic;
 use speck_core::LocalLbMode;
-use speck_core::{multiply_partitioned, SpeckConfig};
+use speck_core::{multiply_partitioned, KernelCascade, SpeckConfig, WorkspacePool};
 use speck_simt::{CostModel, DeviceConfig};
-use speck_sparse::gen::{banded, uniform_random};
+use speck_sparse::gen::{banded, poisson_3d, uniform_random};
 use speck_sparse::reference::spgemm_seq;
 use speck_sparse::transpose::transpose;
 
@@ -28,7 +31,79 @@ fn bench_accumulator(c: &mut Criterion) {
             acc.len()
         })
     });
+    // The numeric hash blocks of a warm `poisson_3d(32³)` multiply at
+    // their planned capacity: reset, indexed inserts, row drain.
+    let (blocks, products) = stencil_hash_blocks();
+    group.throughput(Throughput::Elements(products));
+    group.bench_function("stencil_blocks", |b| {
+        let mut acc: Accumulator<f64> = Accumulator::new(1);
+        let mut entries = Vec::new();
+        b.iter(|| {
+            let mut out = 0usize;
+            for (rows, capacity) in &blocks {
+                acc.reset(*capacity);
+                for (li, row) in rows.iter().enumerate() {
+                    for &(col, val) in row {
+                        acc.insert_indexed(li as u32, col, val);
+                    }
+                }
+                out += acc.drain_rows(rows.len(), &mut entries).0.len();
+            }
+            out
+        })
+    });
     group.finish();
+}
+
+/// Per hash block of the numeric plan of `poisson_3d(32³)` squared: each
+/// local row's product stream `(column, a_ik * b_kj)` and the block's
+/// hash capacity.
+#[allow(clippy::type_complexity)]
+fn stencil_hash_blocks() -> (Vec<(Vec<Vec<(u32, f64)>>, usize)>, u64) {
+    let dev = DeviceConfig::titan_v();
+    let cost = CostModel::default();
+    let cfg = SpeckConfig::default();
+    let cascade = KernelCascade::for_device(&dev);
+    let pool = WorkspacePool::new();
+    let a = poisson_3d(32, 32, 32, 0.1, 1);
+    let (info, _) = analyze(&dev, &cost, &a, &a);
+    let splan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+    let sym = run_symbolic(&dev, &cost, &cascade, &cfg, &a, &a, &info, &splan, &pool);
+    let nplan = plan_numeric(
+        &dev,
+        &cost,
+        &cascade,
+        &cfg,
+        &info,
+        &sym.row_nnz,
+        a.cols(),
+        8,
+    );
+    let entry_bytes = numeric_entry_bytes(a.cols(), 8);
+    let mut products = 0u64;
+    let blocks = nplan
+        .blocks
+        .iter()
+        .filter(|bp| bp.method == AccMethod::Hash)
+        .map(|bp| {
+            let rows = bp
+                .rows
+                .iter()
+                .map(|&r| {
+                    let (a_cols, a_vals) = a.row(r as usize);
+                    let mut stream = Vec::new();
+                    for (&k, &av) in a_cols.iter().zip(a_vals) {
+                        let (b_cols, b_vals) = a.row(k as usize);
+                        stream.extend(b_cols.iter().zip(b_vals).map(|(&j, &bv)| (j, av * bv)));
+                    }
+                    products += stream.len() as u64;
+                    stream
+                })
+                .collect();
+            (rows, cascade.hash_capacity(bp.cfg_idx, entry_bytes))
+        })
+        .collect();
+    (blocks, products)
 }
 
 fn bench_dense_chunk(c: &mut Criterion) {

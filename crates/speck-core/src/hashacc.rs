@@ -9,6 +9,29 @@
 //! succeeds, all entries move to a *global* hash map and accumulation
 //! continues there — the paper's global fallback pool (§4.3). Every probe,
 //! insert and spilled element is counted so the cost model can price it.
+//!
+//! The simulated map is the paper's; the host bookkeeping around it only
+//! has to reproduce its counters exactly, and is built to cost as little
+//! as possible per block:
+//!
+//! - **Occupied-slot list.** Value inserts list the slots they fill, in
+//!   insertion order, so [`Accumulator::reset`], spilling, draining and
+//!   [`Accumulator::counts_per_local_row`] walk only those slots; no path
+//!   sweeps the full capacity of a sparse map. A map at least a quarter
+//!   full is cleared by one sequential fill instead, and key-only
+//!   (symbolic) inserts skip the list: their maps are never drained and
+//!   mostly dense, where the list costs more than it saves.
+//! - **Row-bucketed drain.** [`Accumulator::drain_rows`] counts the
+//!   entries per local row, scatters them into row segments and sorts each
+//!   segment in place, emitting the numeric kernel's flat
+//!   (columns, values, per-row counts) output directly.
+//! - **Current-row column index.** [`Accumulator::insert_indexed`] keeps a
+//!   small direct-mapped table from column to (slot, displacement) for the
+//!   row being filled. Linear probing never moves a placed key and the map
+//!   never deletes, so a repeated key is always found exactly its recorded
+//!   displacement past its home slot: a table hit charges that
+//!   displacement without walking, and a miss walks as usual. Probe counts
+//!   are therefore identical with or without the table.
 
 use speck_sparse::Scalar;
 use std::collections::HashMap;
@@ -20,6 +43,10 @@ const HASH_PRIME: u64 = 4_294_967_291;
 
 /// Sentinel for an empty slot.
 const EMPTY: u64 = u64::MAX;
+
+/// Drained rows up to this length are sorted by insertion sort (a
+/// stencil row's few dozen entries sort fastest that way).
+const INSERTION_SORT_MAX: usize = 32;
 
 /// Builds the compound key for (local row, column) — 5 bits of row, the
 /// rest column (paper limits blocks to 32 rows so 5 bits suffice).
@@ -67,18 +94,96 @@ impl Hasher for KeyHasher {
 
 type GlobalMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
+/// One entry of the current-row column index.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndexEntry {
+    /// `generation << 32 | column`; generation 0 never matches.
+    tag: u64,
+    slot: u32,
+    /// Probe steps from the key's home slot to `slot`.
+    disp: u32,
+}
+
+/// Direct-mapped column → (slot, displacement) table for the local row
+/// being filled by [`Accumulator::insert_indexed`]. Every row start
+/// (after a row change, a reset or a spill) opens a new generation, which
+/// invalidates all entries without clearing the table.
+#[derive(Debug)]
+struct RowIndex {
+    entries: Vec<IndexEntry>,
+    /// `log2` of the table size in use (at least `2 * capacity`).
+    bits: u32,
+    generation: u32,
+    /// Local row the live entries belong to; [`NO_ROW`] after a forget.
+    row: u32,
+}
+
+/// [`RowIndex::row`] when no row is indexed.
+const NO_ROW: u32 = u32::MAX;
+
+impl RowIndex {
+    fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            bits: 0,
+            generation: 0,
+            row: NO_ROW,
+        }
+    }
+
+    /// Invalidates every entry.
+    fn forget(&mut self) {
+        self.row = NO_ROW;
+    }
+
+    /// Starts indexing `row` in a map of `capacity` slots.
+    fn start_row(&mut self, row: u32, capacity: usize) {
+        let size = (2 * capacity).next_power_of_two();
+        if self.entries.len() < size {
+            self.entries.resize(size, IndexEntry::default());
+        }
+        self.bits = size.trailing_zeros();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: old tags could match again, so clear them once.
+            self.entries.fill(IndexEntry::default());
+            self.generation = 1;
+        }
+        self.row = row;
+    }
+
+    /// Table position of `col` (Fibonacci hashing).
+    #[inline]
+    fn position(&self, col: u32) -> usize {
+        ((col as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
+    }
+
+    #[inline]
+    fn tag(&self, col: u32) -> u64 {
+        (self.generation as u64) << 32 | col as u64
+    }
+}
+
 /// Hash accumulator with scratchpad storage and global spill.
 #[derive(Debug)]
 pub struct Accumulator<V> {
+    /// Slot keys; at least `capacity` long, and slots past `capacity`
+    /// stay [`EMPTY`].
     keys: Vec<u64>,
     vals: Vec<V>,
+    /// Slots placed by value inserts, in insertion order. Key-only
+    /// inserts do not list theirs; the list is complete while its length
+    /// equals `local_len`.
+    occupied: Vec<u32>,
+    /// Keys stored locally.
+    local_len: usize,
     capacity: usize,
     /// `ceil(2^64 / capacity)` — lets [`Accumulator::slot_of`] reduce the
     /// hash with two multiplies instead of a hardware divide (exact for
     /// any 32-bit hash and capacity; Lemire's fastmod).
     mod_magic: u64,
-    local_len: usize,
     global: Option<GlobalMap<V>>,
+    index: RowIndex,
     /// Event counters for the cost model.
     pub stats: AccStats,
 }
@@ -91,6 +196,25 @@ fn mod_magic(cap: usize) -> u64 {
     (u64::MAX / cap as u64).wrapping_add(1)
 }
 
+/// Sorts one drained row by key: insertion sort for short rows, the
+/// standard unstable sort otherwise (keys are distinct, so both are
+/// deterministic).
+fn sort_row<V: Copy>(row: &mut [(u64, V)]) {
+    if row.len() > INSERTION_SORT_MAX {
+        row.sort_unstable_by_key(|&(k, _)| k);
+        return;
+    }
+    for i in 1..row.len() {
+        let cur = row[i];
+        let mut j = i;
+        while j > 0 && row[j - 1].0 > cur.0 {
+            row[j] = row[j - 1];
+            j -= 1;
+        }
+        row[j] = cur;
+    }
+}
+
 impl<V: Scalar> Accumulator<V> {
     /// A local map with `capacity` slots.
     pub fn new(capacity: usize) -> Self {
@@ -98,10 +222,12 @@ impl<V: Scalar> Accumulator<V> {
         Self {
             keys: vec![EMPTY; capacity],
             vals: vec![V::zero(); capacity],
+            occupied: Vec::new(),
+            local_len: 0,
             capacity,
             mod_magic: mod_magic(capacity),
-            local_len: 0,
             global: None,
+            index: RowIndex::new(),
             stats: AccStats::default(),
         }
     }
@@ -109,30 +235,57 @@ impl<V: Scalar> Accumulator<V> {
     /// Re-arms the accumulator for a fresh block at `capacity` slots,
     /// reusing the key/value allocations. Equivalent to
     /// `*self = Accumulator::new(capacity)` but without the heap traffic:
-    /// stale values are never read (an insert writes the slot before any
-    /// read), so only the keys need clearing. The statistics reset too —
-    /// they feed the cost model, and a reused accumulator must charge
-    /// exactly what a fresh one would.
+    /// only the occupied slots are cleared (stale values are never read —
+    /// an insert writes the slot before any read), and the buffers keep
+    /// the largest capacity seen. The statistics reset too — they feed
+    /// the cost model, and a reused accumulator must charge exactly what a
+    /// fresh one would.
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "Accumulator: capacity must be positive");
+        self.clear_local();
         if capacity != self.capacity {
-            // A shrinking resize would keep a stale prefix: rebuild whole.
-            self.keys.clear();
-            self.keys.resize(capacity, EMPTY);
-            self.vals.clear();
-            self.vals.resize(capacity, V::zero());
+            if capacity > self.keys.len() {
+                self.keys.resize(capacity, EMPTY);
+                self.vals.resize(capacity, V::zero());
+            }
             self.capacity = capacity;
             self.mod_magic = mod_magic(capacity);
-        } else if self.local_len != 0 {
-            // `local_len` counts the non-EMPTY keys exactly (each local
-            // insert of a new key increments it; drain and spill zero it
-            // after clearing), so a drained accumulator skips the O(n)
-            // sweep.
-            self.keys.fill(EMPTY);
         }
-        self.local_len = 0;
         self.global = None;
+        self.index.forget();
         self.stats = AccStats::default();
+    }
+
+    /// True when `occupied` lists every local key.
+    fn listed(&self) -> bool {
+        self.occupied.len() == self.local_len
+    }
+
+    /// Empties the local map. A sparse, fully listed map clears its
+    /// listed slots one by one; otherwise one sequential fill of the key
+    /// range is cheaper than as many scattered stores.
+    fn clear_local(&mut self) {
+        if self.listed() && self.local_len * 4 < self.capacity {
+            for &s in &self.occupied {
+                self.keys[s as usize] = EMPTY;
+            }
+        } else {
+            self.keys[..self.capacity].fill(EMPTY);
+        }
+        self.occupied.clear();
+        self.local_len = 0;
+    }
+
+    /// Visits every local slot holding a key: the listed slots when the
+    /// list is complete, else a sweep of the key range.
+    fn for_each_local_slot(&self, mut f: impl FnMut(usize)) {
+        if self.listed() {
+            self.occupied.iter().for_each(|&s| f(s as usize));
+        } else {
+            (0..self.capacity)
+                .filter(|&s| self.keys[s] != EMPTY)
+                .for_each(f);
+        }
     }
 
     /// Number of distinct keys stored (local + global).
@@ -177,6 +330,29 @@ impl<V: Scalar> Accumulator<V> {
         m
     }
 
+    /// Walks `key`'s linear-probe sequence: `Ok((slot, steps))` for the
+    /// slot that holds the key or the empty slot where it belongs, or
+    /// `Err(steps)` once every slot was seen holding another key.
+    #[inline]
+    fn find_slot(&self, key: u64) -> Result<(usize, u64), u64> {
+        let mut slot = self.slot_of(key);
+        let mut probes = 0u64;
+        loop {
+            let k = self.keys[slot];
+            if k == key || k == EMPTY {
+                return Ok((slot, probes));
+            }
+            probes += 1;
+            slot += 1;
+            if slot == self.capacity {
+                slot = 0;
+            }
+            if probes as usize > self.capacity {
+                return Err(probes);
+            }
+        }
+    }
+
     /// Ensures `headroom` more inserts can all land locally; if not,
     /// moves everything to the global map (the paper spills *before*
     /// threads race on the last slots, then continues globally).
@@ -189,18 +365,63 @@ impl<V: Scalar> Accumulator<V> {
         }
     }
 
+    // The spill and global paths stay out of line: inlined into the
+    // insert loops they bloat the hot probe walk measurably.
+    #[cold]
+    #[inline(never)]
     fn spill(&mut self) {
         let mut g: GlobalMap<V> =
             HashMap::with_capacity_and_hasher(self.capacity * 2, BuildHasherDefault::default());
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                g.insert(k, self.vals[i]);
+        self.for_each_local_slot(|s| {
+            g.insert(self.keys[s], self.vals[s]);
+        });
+        self.stats.spilled += self.local_len as u64;
+        self.clear_local();
+        self.index.forget();
+        self.global = Some(g);
+    }
+
+    /// Global-map insert (after a spill); returns `true` when the key is
+    /// new.
+    #[inline(never)]
+    fn insert_global(&mut self, key: u64, val: V) -> bool {
+        self.stats.gmem_inserts += 1;
+        let g = self.global.as_mut().expect("accumulator has spilled");
+        match g.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                *e.get_mut() += val;
+                false
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(val);
+                true
             }
         }
-        self.stats.spilled += self.local_len as u64;
-        self.keys.fill(EMPTY);
-        self.local_len = 0;
-        self.global = Some(g);
+    }
+
+    /// Adds `val` at `slot`, which holds `key` or is the empty slot
+    /// where it belongs (listing a newly filled slot); returns `true`
+    /// when the key is new.
+    #[inline]
+    fn add_at(&mut self, slot: usize, key: u64, val: V) -> bool {
+        if self.keys[slot] == key {
+            self.vals[slot] += val;
+            return false;
+        }
+        self.keys[slot] = key;
+        self.vals[slot] = val;
+        self.local_len += 1;
+        self.occupied.push(slot as u32);
+        true
+    }
+
+    /// A probe walk of `probes` steps found the local map completely
+    /// full: charges the walk, spills and inserts globally.
+    #[cold]
+    fn overflow(&mut self, probes: u64, key: u64, val: V) -> bool {
+        self.stats.probes += probes;
+        self.spill();
+        self.insert_global(key, val)
     }
 
     /// Inserts `key` adding `val`; returns `true` when the key is new.
@@ -209,47 +430,52 @@ impl<V: Scalar> Accumulator<V> {
     /// batched inserts; a completely full local map spills automatically
     /// as a safety net.
     pub fn insert(&mut self, key: u64, val: V) -> bool {
-        if let Some(g) = self.global.as_mut() {
-            self.stats.gmem_inserts += 1;
-            return match g.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += val;
-                    false
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(val);
-                    true
-                }
-            };
+        if self.global.is_some() {
+            return self.insert_global(key, val);
         }
         self.stats.smem_inserts += 1;
-        let mut slot = self.slot_of(key);
-        let mut probes = 0u64;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
+        match self.find_slot(key) {
+            Ok((slot, probes)) => {
                 self.stats.probes += probes;
-                self.vals[slot] += val;
-                return false;
+                self.add_at(slot, key, val)
             }
-            if k == EMPTY {
+            Err(probes) => self.overflow(probes, key, val),
+        }
+    }
+
+    /// [`Accumulator::insert`] of `(local_row, col)` through the
+    /// current-row column index: a column seen before in the same row
+    /// charges its recorded displacement and adds `val` without walking
+    /// the probe sequence. Charges, return value and map contents are
+    /// exactly those of `insert(compound_key(local_row, col), val)`.
+    pub fn insert_indexed(&mut self, local_row: u32, col: u32, val: V) -> bool {
+        let key = compound_key(local_row, col);
+        if self.global.is_some() {
+            return self.insert_global(key, val);
+        }
+        if local_row != self.index.row {
+            self.index.start_row(local_row, self.capacity);
+        }
+        self.stats.smem_inserts += 1;
+        let pos = self.index.position(col);
+        let tag = self.index.tag(col);
+        let e = self.index.entries[pos];
+        if e.tag == tag {
+            self.stats.probes += e.disp as u64;
+            self.vals[e.slot as usize] += val;
+            return false;
+        }
+        match self.find_slot(key) {
+            Ok((slot, probes)) => {
                 self.stats.probes += probes;
-                self.keys[slot] = key;
-                self.vals[slot] = val;
-                self.local_len += 1;
-                return true;
+                self.index.entries[pos] = IndexEntry {
+                    tag,
+                    slot: slot as u32,
+                    disp: probes as u32,
+                };
+                self.add_at(slot, key, val)
             }
-            probes += 1;
-            slot += 1;
-            if slot == self.capacity {
-                slot = 0;
-            }
-            if probes as usize > self.capacity {
-                // Local map completely full: spill and retry globally.
-                self.stats.probes += probes;
-                self.spill();
-                return self.insert(key, val);
-            }
+            Err(probes) => self.overflow(probes, key, val),
         }
     }
 
@@ -260,78 +486,96 @@ impl<V: Scalar> Accumulator<V> {
     /// reading it, and the symbolic pass never reads values at all.
     pub fn insert_key(&mut self, key: u64) -> bool {
         if self.global.is_some() {
-            return self.insert(key, V::zero());
+            return self.insert_global(key, V::zero());
         }
         self.stats.smem_inserts += 1;
-        let mut slot = self.slot_of(key);
-        let mut probes = 0u64;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
+        match self.find_slot(key) {
+            Ok((slot, probes)) => {
                 self.stats.probes += probes;
-                return false;
+                if self.keys[slot] == key {
+                    false
+                } else {
+                    // Unlisted: the symbolic pass never drains, and a
+                    // dense map clears fastest by a fill anyway.
+                    self.keys[slot] = key;
+                    self.local_len += 1;
+                    true
+                }
             }
-            if k == EMPTY {
-                self.stats.probes += probes;
-                self.keys[slot] = key;
-                self.local_len += 1;
-                return true;
-            }
-            probes += 1;
-            slot += 1;
-            if slot == self.capacity {
-                slot = 0;
-            }
-            if probes as usize > self.capacity {
-                // Local map completely full: spill and retry globally.
-                self.stats.probes += probes;
-                self.spill();
-                return self.insert(key, V::zero());
+            Err(probes) => self.overflow(probes, key, V::zero()),
+        }
+    }
+
+    /// Visits every stored `(key, value)` pair, local then global.
+    fn for_each_entry(&self, mut f: impl FnMut(u64, V)) {
+        self.for_each_local_slot(|s| f(self.keys[s], self.vals[s]));
+        if let Some(g) = &self.global {
+            for (&k, &v) in g {
+                f(k, v);
             }
         }
+    }
+
+    /// Empties the map (local and global), keeping the statistics.
+    fn clear(&mut self) {
+        self.clear_local();
+        self.global = None;
+        self.index.forget();
     }
 
     /// Extracts all `(key, value)` pairs, sorted by key. (Compound keys
-    /// sort by local row then column, exactly the output order the
-    /// numeric kernel needs.)
+    /// sort by local row then column.)
     pub fn drain_sorted(&mut self) -> Vec<(u64, V)> {
-        let mut out = Vec::new();
-        self.drain_sorted_into(&mut out);
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_entry(|k, v| out.push((k, v)));
+        out.sort_unstable_by_key(|&(k, _)| k);
+        self.clear();
         out
     }
 
-    /// [`Accumulator::drain_sorted`] into a caller-provided buffer
-    /// (cleared first), so a reused workspace pays no allocation.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u64, V)>) {
-        out.clear();
-        out.reserve(self.len());
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                out.push((k, self.vals[i]));
-            }
+    /// Drains a block of `n_rows` local rows into flat row-major output:
+    /// `(columns, values, per-row counts)`, each row sorted by column —
+    /// exactly the numeric kernel's block output. Entries are bucketed by
+    /// local row through `entries` (scratch, cleared first) and each row
+    /// is sorted in place, so no block-wide sort runs; the columns and
+    /// values are then unzipped in one pass each.
+    pub fn drain_rows(
+        &mut self,
+        n_rows: usize,
+        entries: &mut Vec<(u64, V)>,
+    ) -> (Vec<u32>, Vec<V>, Vec<u32>) {
+        assert!(n_rows <= 32, "blocks hold at most 32 rows");
+        let mut counts = vec![0u32; n_rows];
+        self.for_each_entry(|k, _| counts[split_key(k).0 as usize] += 1);
+        let mut next = [0usize; 32];
+        let mut total = 0usize;
+        for (r, &c) in counts.iter().enumerate() {
+            next[r] = total;
+            total += c as usize;
         }
-        if let Some(g) = self.global.take() {
-            out.extend(g);
+        entries.clear();
+        entries.resize(total, (0, V::zero()));
+        self.for_each_entry(|k, v| {
+            let r = split_key(k).0 as usize;
+            entries[next[r]] = (k, v);
+            next[r] += 1;
+        });
+        let mut start = 0usize;
+        for &c in &counts {
+            sort_row(&mut entries[start..start + c as usize]);
+            start += c as usize;
         }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        self.keys.fill(EMPTY);
-        self.local_len = 0;
+        let cols = entries.iter().map(|&(k, _)| split_key(k).1).collect();
+        let vals = entries.iter().map(|&(_, v)| v).collect();
+        self.clear();
+        (cols, vals, counts)
     }
 
     /// Counts stored keys per local row (symbolic extraction for blocks of
     /// up to 32 rows).
     pub fn counts_per_local_row(&self, n_rows: usize) -> Vec<u32> {
         let mut counts = vec![0u32; n_rows];
-        for &k in &self.keys {
-            if k != EMPTY {
-                counts[split_key(k).0 as usize] += 1;
-            }
-        }
-        if let Some(g) = &self.global {
-            for &k in g.keys() {
-                counts[split_key(k).0 as usize] += 1;
-            }
-        }
+        self.for_each_entry(|k, _| counts[split_key(k).0 as usize] += 1);
         counts
     }
 }
@@ -454,6 +698,46 @@ mod tests {
             assert_eq!(k, ok);
             assert!((v - ov).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn indexed_insert_charges_like_plain_insert() {
+        // Capacity 8 with 40 columns: collisions, hits and a spill.
+        let mut plain: Accumulator<f64> = Accumulator::new(8);
+        let mut indexed: Accumulator<f64> = Accumulator::new(8);
+        for (i, row) in [0u32, 0, 1, 1, 0, 2].iter().enumerate() {
+            for c in 0..(3 + i as u32) {
+                let col = (c * 37 + i as u32) % 11;
+                let v = c as f64 + 0.5;
+                assert_eq!(
+                    plain.insert(compound_key(*row, col), v),
+                    indexed.insert_indexed(*row, col, v)
+                );
+                assert_eq!(plain.stats, indexed.stats);
+            }
+        }
+        assert!(indexed.spilled_to_global());
+        assert_eq!(plain.drain_sorted(), indexed.drain_sorted());
+    }
+
+    #[test]
+    fn drain_rows_matches_drain_sorted() {
+        let mut rows: Accumulator<f64> = Accumulator::new(64);
+        let mut flat: Accumulator<f64> = Accumulator::new(64);
+        let mut entries = Vec::new();
+        for i in 0..150u32 {
+            let key = compound_key(i * 7 % 5, i * 13 % 40);
+            rows.insert(key, i as f64);
+            flat.insert(key, i as f64);
+        }
+        let (cols, vals, counts) = rows.drain_rows(6, &mut entries);
+        let sorted = flat.drain_sorted();
+        assert_eq!(counts.iter().sum::<u32>() as usize, sorted.len());
+        assert_eq!(counts[5], 0);
+        let split: Vec<(u32, f64)> = sorted.iter().map(|&(k, v)| (split_key(k).1, v)).collect();
+        let drained: Vec<(u32, f64)> = cols.into_iter().zip(vals).collect();
+        assert_eq!(drained, split);
+        assert!(rows.is_empty());
     }
 
     #[test]

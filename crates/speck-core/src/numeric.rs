@@ -15,7 +15,6 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
 use crate::global_lb::PassPlan;
-use crate::hashacc::{compound_key, split_key};
 use crate::local_lb::select_group_size;
 use crate::metrics::MetricsSink;
 use crate::sort::{
@@ -111,7 +110,7 @@ fn hash_block<V: Scalar>(
                 let end = (pos + g).min(b_cols.len());
                 acc.reserve_or_spill(end - pos);
                 for i in pos..end {
-                    acc.insert(compound_key(li as u32, b_cols[i]), av * b_vals[i]);
+                    acc.insert_indexed(li as u32, b_cols[i], av * b_vals[i]);
                 }
                 pos = end;
             }
@@ -129,8 +128,8 @@ fn hash_block<V: Scalar>(
     ctx.charge_sync();
 
     let spilled = acc.spilled_to_global();
-    acc.drain_sorted_into(entries);
-    let n = entries.len();
+    let out = acc.drain_rows(rows.len(), entries);
+    let n = out.0.len();
     // Rank-sort in scratchpad only while the O(n^2) stays cheaper than a
     // radix pass over the rows; spilled or oversized maps defer to radix.
     let scratch_sorted = scratch_sorted && !spilled && n <= MAX_SCRATCH_SORT_ENTRIES;
@@ -140,19 +139,7 @@ fn hash_block<V: Scalar>(
     // Write n (col, val) pairs out, coalesced.
     ctx.charge_gmem_store(n, entry_bytes);
     ctx.charge_rounds((capacity as u64).div_ceil(threads as u64));
-
-    // Split per local row (keys sort row-major, so the flat buffer is
-    // already row-major).
-    let mut cols = Vec::with_capacity(n);
-    let mut vals = Vec::with_capacity(n);
-    let mut counts = vec![0u32; rows.len()];
-    for &(key, val) in entries.iter() {
-        let (lr, col) = split_key(key);
-        counts[lr as usize] += 1;
-        cols.push(col);
-        vals.push(val);
-    }
-    ((cols, vals, counts), spilled, !scratch_sorted)
+    (out, spilled, !scratch_sorted)
 }
 
 /// Numeric dense kernel for one row (paper Fig. 5).

@@ -29,6 +29,7 @@ use crate::workspace::{SharedWorkspaces, WorkspacePool};
 use rayon::prelude::*;
 use speck_simt::{CostModel, DeviceConfig, MemTracker, Timeline};
 use speck_sparse::{Csr, Scalar};
+use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
@@ -355,16 +356,85 @@ impl SpeckSpgemm {
 
     /// Multiplies every `(A, B)` pair, running independent multiplies
     /// across the rayon pool. All calls share the engine's workspace
-    /// registry and plan cache, so repeated patterns inside (or across)
-    /// batches hit the reuse fast path. Results are returned in input
-    /// order.
+    /// registry and plan cache. Each distinct pattern missing from the
+    /// cache is planned once (the missing patterns in parallel), then
+    /// every pair executes: as with sequential [`SpeckSpgemm::multiply`]
+    /// calls, the first pair of a newly planned pattern reports
+    /// `reused_plan == false` and every other pair `true`. Results are
+    /// returned in input order.
     pub fn multiply_batch<V: Scalar>(
         &self,
         pairs: &[(&Csr<V>, &Csr<V>)],
     ) -> Vec<(Csr<V>, MultiplyReport)> {
-        pairs
+        if self.plans.lock().unwrap().capacity() == 0 {
+            return pairs
+                .par_iter()
+                .map(|&(a, b)| self.multiply(a, b))
+                .collect();
+        }
+        let obs = self.observe();
+        obs.metrics.add("engine/multiply_calls", pairs.len() as u64);
+        let pool = self.workspaces.pool::<V>();
+        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
+        let env = self.env_digest();
+        let keys: Vec<PatternKey> = pairs
             .par_iter()
-            .map(|&(a, b)| self.multiply(a, b))
+            .map(|&(a, b)| PatternKey::new(a, b, env))
+            .collect();
+
+        // Look the pairs up in input order, as sequential calls would;
+        // `cold` holds the first pair of each pattern missing from the
+        // cache.
+        let mut plans: Vec<Option<(Arc<SpgemmPlan<V>>, bool)>> = vec![None; pairs.len()];
+        let mut cold: Vec<usize> = Vec::new();
+        {
+            let mut cache = self.plans.lock().unwrap();
+            for (i, key) in keys.iter().enumerate() {
+                if cold.iter().any(|&c| keys[c] == *key) {
+                    continue;
+                }
+                match cache
+                    .get(key)
+                    .and_then(|h| h.downcast::<SpgemmPlan<V>>().ok())
+                {
+                    Some(plan) => plans[i] = Some((plan, true)),
+                    None => cold.push(i),
+                }
+            }
+        }
+        let fresh: Vec<Arc<SpgemmPlan<V>>> = cold
+            .par_iter()
+            .map(|&i| {
+                Arc::new(plan_inner(
+                    dev, cost, cfg, pairs[i].0, pairs[i].1, &pool, obs,
+                ))
+            })
+            .collect();
+        {
+            let mut cache = self.plans.lock().unwrap();
+            for (&i, plan) in cold.iter().zip(&fresh) {
+                cache.insert(keys[i], Arc::clone(plan) as Arc<dyn Any + Send + Sync>);
+                plans[i] = Some((Arc::clone(plan), false));
+            }
+            for (i, key) in keys.iter().enumerate() {
+                if plans[i].is_none() {
+                    // A later pair of a pattern planned above. The lookup
+                    // scores the hit a sequential call would; the plan
+                    // comes from this batch even if the LRU dropped it.
+                    let _ = cache.get(key);
+                    let p = cold.iter().position(|&c| keys[c] == *key);
+                    let plan = &fresh[p.expect("pattern planned above")];
+                    plans[i] = Some((Arc::clone(plan), true));
+                }
+            }
+        }
+        (0..pairs.len())
+            .into_par_iter()
+            .map(|i| {
+                let (plan, reused) = plans[i].as_ref().expect("every pair has a plan");
+                let (a, b) = pairs[i];
+                execute_inner(dev, cost, cfg, plan, a, b, &pool, *reused, obs)
+            })
             .collect()
     }
 }

@@ -42,7 +42,7 @@ pub struct Workspace<V> {
     pub iters: Vec<u64>,
     /// Per-A-column cursors into B's rows (clear before use).
     pub cursors: Vec<usize>,
-    /// Sorted (key, value) staging for accumulator drains.
+    /// (key, value) staging for [`Accumulator::drain_rows`].
     pub entries: Vec<(u64, V)>,
 }
 

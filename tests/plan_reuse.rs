@@ -254,3 +254,21 @@ fn panicking_warm_multiply_leaves_the_engine_usable() {
     assert!(c_warm.approx_eq(&c_cold, 0.0, 0.0));
     assert!(c_warm.approx_eq(&spgemm_seq(&a, &a), 1e-10, 1e-12));
 }
+
+#[test]
+fn batch_of_one_pattern_plans_it_once() {
+    let a = speck_repro::sparse::gen::uniform_random(200, 200, 2, 6, 17);
+    let engine = SpeckSpgemm::default();
+    let pairs: Vec<(&Csr<f64>, &Csr<f64>)> = (0..8).map(|_| (&a, &a)).collect();
+    let outs = engine.multiply_batch(&pairs);
+    assert_eq!(outs.len(), 8);
+    let cold = outs.iter().filter(|(_, r)| !r.reused_plan).count();
+    assert_eq!(cold, 1, "exactly one pair of the batch plans the pattern");
+    assert!(!outs[0].1.reused_plan, "the first pair is the cold one");
+    let expect = spgemm_seq(&a, &a);
+    for (c, _) in &outs {
+        assert!(c.approx_eq(&expect, 1e-10, 1e-12));
+    }
+    assert_eq!(engine.cached_plans(), 1);
+    assert_eq!(engine.plan_cache_stats(), (7, 1));
+}
