@@ -17,7 +17,8 @@
 //!   --metrics             print the engine's metrics table after the run
 //!                         (per-stage sim counters, spans, cache stats)
 //!   --metrics-table PATH  write the metrics table to PATH
-//!   --metrics-out PATH    write the full metrics snapshot JSON to PATH
+//!   --metrics-out PATH    write the canonical metrics snapshot JSON
+//!                         (counters + histograms) to PATH
 //!   --trace-out PATH      run one cold traced multiply and write its
 //!                         Chrome Trace Event JSON to PATH (open in
 //!                         Perfetto or chrome://tracing)
@@ -254,7 +255,7 @@ fn main() {
         println!("metrics table written to {path}");
     }
     if let Some(path) = &o.metrics_out {
-        std::fs::write(path, engine.metrics_snapshot().full_json())
+        std::fs::write(path, engine.metrics_snapshot().canonical_json())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("metrics snapshot written to {path}");
     }

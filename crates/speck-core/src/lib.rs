@@ -87,9 +87,7 @@ pub use audit::{
 pub use cascade::KernelCascade;
 pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
 pub use json::{parse_json_value, JsonValue};
-pub use metrics::{
-    compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, Span,
-};
+pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, Span};
 pub use partial::{multiply_multi_gpu, multiply_partitioned};
 pub use pipeline::{
     execute_plan_with_pool, multiply, multiply_with_pool, plan_with_pool, MultiplyReport,
